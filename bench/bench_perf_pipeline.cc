@@ -18,7 +18,6 @@
 #include <map>
 #include <span>
 #include <thread>
-#include <type_traits>
 
 #include "asgraph/as_graph.h"
 #include "catalog/catalog.h"
@@ -29,7 +28,6 @@
 #include "leasing/report.h"
 #include "memstats.h"
 #include "mrt/rib_file.h"
-#include "netbase/legacy_prefix_trie.h"
 #include "netbase/prefix_trie.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -74,12 +72,9 @@ const std::string& dataset_for(int permille) {
 }
 
 // ---------------------------------------------------------------------------
-// Trie microbenchmarks: the arena Patricia trie (PrefixTrie) vs the retained
-// one-node-per-bit reference (LegacyPrefixTrie). Same deterministic corpus
-// and query stream for both, so rows are directly comparable: build cost,
-// exact find, covering walk, and per-structure node memory at 10k/100k/1M
-// entries (legacy capped at 100k — a million entries costs it ~30M heap
-// nodes).
+// Trie microbenchmarks for the arena Patricia trie (PrefixTrie) over one
+// deterministic corpus and query stream: build cost, exact find, covering
+// walk, and node memory at 10k/100k/1M entries.
 // ---------------------------------------------------------------------------
 
 /// Deterministic allocation-tree-shaped corpus: /8../24 entries plus /32
@@ -113,42 +108,24 @@ const TrieWorkload& trie_workload(std::size_t n) {
   return cache.emplace(n, std::move(w)).first->second;
 }
 
-template <typename Trie>
-const Trie& built_trie(std::size_t n) {
-  static std::map<std::size_t, Trie> cache;
+/// Lookup benchmarks measure the trie as deployed: freeze-built (the
+/// AllocationTree production path, which lays nodes out in DFS pre-order
+/// for locality).
+const PrefixTrie<int>& lookup_trie(std::size_t n) {
+  static std::map<std::size_t, PrefixTrie<int>> cache;
   auto it = cache.find(n);
-  if (it != cache.end()) return it->second;
-  Trie trie;
-  for (const auto& [prefix, value] : trie_workload(n).entries) {
-    trie.insert(prefix, value);
+  if (it == cache.end()) {
+    it = cache.emplace(n, PrefixTrie<int>::freeze(trie_workload(n).entries))
+             .first;
   }
-  return cache.emplace(n, std::move(trie)).first->second;
+  return it->second;
 }
 
-/// Lookup benchmarks measure each trie as deployed: the arena trie is
-/// freeze-built (the AllocationTree production path, which lays nodes out
-/// in DFS pre-order for locality), the legacy trie only has incremental
-/// insert.
-template <typename Trie>
-const Trie& lookup_trie(std::size_t n) {
-  if constexpr (std::is_same_v<Trie, PrefixTrie<int>>) {
-    static std::map<std::size_t, Trie> cache;
-    auto it = cache.find(n);
-    if (it == cache.end()) {
-      it = cache.emplace(n, Trie::freeze(trie_workload(n).entries)).first;
-    }
-    return it->second;
-  } else {
-    return built_trie<Trie>(n);
-  }
-}
-
-template <typename Trie>
-void trie_build_incremental(benchmark::State& state) {
+void BM_TrieBuildArena(benchmark::State& state) {
   const auto& workload = trie_workload(static_cast<std::size_t>(state.range(0)));
   std::size_t nodes = 0, bytes = 0;
   for (auto _ : state) {
-    Trie trie;
+    PrefixTrie<int> trie;
     for (const auto& [prefix, value] : workload.entries) {
       trie.insert(prefix, value);
     }
@@ -162,19 +139,8 @@ void trie_build_incremental(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(workload.entries.size()));
 }
-
-void BM_TrieBuildArena(benchmark::State& state) {
-  trie_build_incremental<PrefixTrie<int>>(state);
-}
 BENCHMARK(BM_TrieBuildArena)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TrieBuildLegacy(benchmark::State& state) {
-  trie_build_incremental<LegacyPrefixTrie<int>>(state);
-}
-BENCHMARK(BM_TrieBuildLegacy)
-    ->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TrieBuildFreeze(benchmark::State& state) {
@@ -196,11 +162,10 @@ BENCHMARK(BM_TrieBuildFreeze)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
-template <typename Trie>
-void trie_exact_find(benchmark::State& state) {
+void BM_TrieExactFindArena(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto& workload = trie_workload(n);
-  const Trie& trie = lookup_trie<Trie>(n);
+  const PrefixTrie<int>& trie = lookup_trie(n);
   std::size_t i = 0;
   for (auto _ : state) {
     const int* hit = trie.find(workload.entries[i % n].first);
@@ -210,25 +175,15 @@ void trie_exact_find(benchmark::State& state) {
   state.counters["peak_rss_mb"] = bench::peak_rss_megabytes();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_TrieExactFindArena(benchmark::State& state) {
-  trie_exact_find<PrefixTrie<int>>(state);
-}
 BENCHMARK(BM_TrieExactFindArena)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_TrieExactFindLegacy(benchmark::State& state) {
-  trie_exact_find<LegacyPrefixTrie<int>>(state);
-}
-BENCHMARK(BM_TrieExactFindLegacy)->Arg(10000)->Arg(100000);
 
 /// One most-specific + one least-specific covering walk per iteration on a
 /// /32 query — the shape of the paper's step-4 lookups (exact origin plus
 /// root-origin fallback).
-template <typename Trie>
-void trie_covering_walk(benchmark::State& state) {
+void BM_TrieCoveringWalkArena(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto& workload = trie_workload(n);
-  const Trie& trie = lookup_trie<Trie>(n);
+  const PrefixTrie<int>& trie = lookup_trie(n);
   std::size_t i = 0;
   for (auto _ : state) {
     const Prefix& q = workload.queries[i % workload.queries.size()];
@@ -243,16 +198,7 @@ void trie_covering_walk(benchmark::State& state) {
   state.counters["peak_rss_mb"] = bench::peak_rss_megabytes();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_TrieCoveringWalkArena(benchmark::State& state) {
-  trie_covering_walk<PrefixTrie<int>>(state);
-}
 BENCHMARK(BM_TrieCoveringWalkArena)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_TrieCoveringWalkLegacy(benchmark::State& state) {
-  trie_covering_walk<LegacyPrefixTrie<int>>(state);
-}
-BENCHMARK(BM_TrieCoveringWalkLegacy)->Arg(10000)->Arg(100000);
 
 // ---------------------------------------------------------------------------
 // DIR-24-8 stride table (docs/PERF.md): single-address LPM through the flat
@@ -1332,83 +1278,6 @@ BENCHMARK(BM_ServeConnScaling)
     ->Arg(1)->Arg(8)
     ->Iterations(500)
     ->Unit(benchmark::kMillisecond);
-
-bool aggregates_equal(const serve::QueryEngine::SnapshotAggregate& a,
-                      const serve::QueryEngine::SnapshotAggregate& b) {
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    if (a.groups[g].records != b.groups[g].records ||
-        a.groups[g].addresses != b.groups[g].addresses) {
-      return false;
-    }
-  }
-  for (std::size_t r = 0; r < a.rir_records.size(); ++r) {
-    if (a.rir_records[r] != b.rir_records[r]) return false;
-  }
-  return a.leased_records == b.leased_records &&
-         a.leased_addresses == b.leased_addresses &&
-         a.top_origins == b.top_origins;
-}
-
-/// The STATS columnar aggregation: SIMD pass timed in the benchmark loop,
-/// and a paired SIMD-vs-scalar comparison (median of alternating rounds)
-/// recorded as counters. The two passes must agree bit for bit on the
-/// bench dataset before any timing counts — a divergence aborts the row.
-void BM_StatsSimd(benchmark::State& state) {
-  const auto& files =
-      snapshot_bench_files(static_cast<std::size_t>(state.range(0)));
-  auto snap = snapshot::Snapshot::open(files.snap,
-                                       snapshot::Snapshot::Mode::kRead);
-  if (!snap) {
-    state.SkipWithError("snapshot load failed");
-    return;
-  }
-  auto engine = serve::QueryEngine::create(&*snap);
-  if (!engine) {
-    state.SkipWithError("engine build failed");
-    return;
-  }
-  if (!aggregates_equal(engine->aggregate(), engine->aggregate_scalar())) {
-    state.SkipWithError("SIMD aggregate diverges from the scalar pass");
-    return;
-  }
-  for (auto _ : state) {
-    auto agg = engine->aggregate();
-    benchmark::DoNotOptimize(agg);
-  }
-  using clock = std::chrono::steady_clock;
-  auto time_ns = [&](bool use_simd) {
-    auto t0 = clock::now();
-    auto agg = use_simd ? engine->aggregate() : engine->aggregate_scalar();
-    auto t1 = clock::now();
-    benchmark::DoNotOptimize(agg);
-    return static_cast<double>(std::chrono::nanoseconds(t1 - t0).count());
-  };
-  constexpr int kRounds = 41;
-  std::vector<double> ratios;
-  double best_simd = 1e18, best_scalar = 1e18;
-  for (int round = 0; round < kRounds; ++round) {
-    double v, s;
-    if (round % 2 == 0) {
-      v = time_ns(true);
-      s = time_ns(false);
-    } else {
-      s = time_ns(false);
-      v = time_ns(true);
-    }
-    ratios.push_back(s / v);
-    best_simd = std::min(best_simd, v);
-    best_scalar = std::min(best_scalar, s);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  state.counters["records"] = static_cast<double>(snap->record_count());
-  state.counters["simd_us"] = best_simd / 1e3;
-  state.counters["scalar_us"] = best_scalar / 1e3;
-  state.counters["simd_speedup"] = ratios[ratios.size() / 2];
-  state.counters["peak_rss_mb"] = bench::peak_rss_megabytes();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(snap->record_count()));
-}
-BENCHMARK(BM_StatsSimd)->Arg(10000)->Arg(100000);
 
 // ---------------------------------------------------------------------------
 // Observability overhead + per-stage trace summaries (docs/OBSERVABILITY.md).

@@ -563,8 +563,8 @@ Expected<std::shared_ptr<const serve::EngineState>> Catalog::apply_delta(
   parts.handle_pool.assign(bs.handle_pool().begin(), bs.handle_pool().end());
 
   // Which base rows survive (increasing), and which surviving rows the
-  // delta rewrites in place — the engine patches its aggregation columns
-  // from the base epoch's instead of rebuilding them (EngineState::
+  // delta rewrites in place — the engine patches its STATS aggregate
+  // from the base epoch's instead of recounting it (EngineState::
   // adopt_patched), so a small delta costs O(changed), not O(records).
   std::vector<std::uint32_t> surviving;
   std::vector<std::uint32_t> patched;
@@ -678,6 +678,13 @@ Expected<std::shared_ptr<const serve::EngineState>> Catalog::apply_delta(
   }
   if (need_stride) trie.build_stride_table();
 
+  if (removed_any && surviving.empty()) {
+    // Every base row went: there is nothing to patch from, and an empty
+    // `surviving` would read as "none removed".
+    return serve::EngineState::adopt_with_trie(
+        std::move(snap), std::move(trie), join(dir_, entry.name),
+        entry.epoch, entry.epoch);
+  }
   return serve::EngineState::adopt_patched(
       std::move(snap),
       std::make_shared<const PrefixTrie<std::uint32_t>>(std::move(trie)),

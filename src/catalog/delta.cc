@@ -414,7 +414,16 @@ Expected<Delta> Delta::parse(snapshot::Buffer buffer) {
                     std::size_t pool) {
     return off <= pool && count <= pool - off;
   };
+  const snapshot::RecordRow* prev = nullptr;
   for (const snapshot::RecordRow& row : delta.rows_) {
+    // Canonical lists hold each prefix once, in (network, length) order;
+    // the apply path relies on no prefix being upserted twice.
+    if (prev != nullptr &&
+        std::pair(prev->prefix_key, prev->prefix_len) >=
+            std::pair(row.prefix_key, row.prefix_len)) {
+      return fail("delta records are not strictly ascending");
+    }
+    prev = &row;
     if (!canonical(row.prefix_key, row.prefix_len) || row.root_len > 32 ||
         row.rir >= whois::kAllRirs.size() ||
         row.group > static_cast<std::uint8_t>(

@@ -10,8 +10,8 @@
 //  - Nodes live in one `std::vector<Node>` arena; children are 32-bit
 //    indices, not pointers. A node covers a whole run of prefix bits
 //    (`key` + `len`), so a /24 entry costs at most two nodes (one leaf plus
-//    at most one fork), not 24 heap allocations as in the old
-//    one-node-per-bit trie (kept as LegacyPrefixTrie for benchmarks).
+//    at most one fork), not the 24 heap allocations of a one-node-per-bit
+//    trie.
 //  - Values live in a parallel slot vector; nodes hold a slot index, so
 //    pure branch nodes pay no per-node `std::optional<T>`.
 //  - All traversals are templated on the callback, so walks inline instead

@@ -49,8 +49,8 @@ class EngineState {
       PrefixTrie<std::uint32_t> trie, std::string path,
       std::uint64_t generation, std::uint32_t epoch);
 
-  /// adopt_with_trie, but the engine's aggregation columns are patched
-  /// from `base`'s instead of rebuilt (QueryEngine::create_patched) —
+  /// adopt_with_trie, but the engine's STATS aggregate is patched from
+  /// `base`'s instead of recounted (QueryEngine::create_patched) —
   /// the delta-apply fast path, where almost every row carries over from
   /// the base epoch unchanged. The trie is shared, not owned: an
   /// in-place-only delta passes the base epoch's trie handle verbatim.

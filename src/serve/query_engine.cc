@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "serve/json.h"
-#include "util/simd.h"
 
 namespace sublet::serve {
 
@@ -13,49 +12,21 @@ namespace {
 /// How many leaf-origin ASNs the STATS aggregate ranks.
 constexpr std::size_t kTopOrigins = 8;
 
-/// One aggregation pass, templated on the primitive set so the SIMD and
-/// scalar variants share every line of control flow — any divergence
-/// between them is in util/simd.h, exactly what the differential pins.
-template <bool kUseSimd>
-QueryEngine::SnapshotAggregate run_aggregate(
-    std::span<const std::uint8_t> groups, std::span<const std::uint8_t> rirs,
-    std::span<const std::uint64_t> sizes,
-    std::span<const std::uint32_t> origins,
-    std::span<const std::uint32_t> top_asns) {
-  auto count8 = [](std::span<const std::uint8_t> keys, std::uint8_t t) {
-    if constexpr (kUseSimd) return simd::count_eq_u8(keys, t);
-    else return simd::count_eq_u8_scalar(keys, t);
-  };
-  auto count32 = [](std::span<const std::uint32_t> keys, std::uint32_t t) {
-    if constexpr (kUseSimd) return simd::count_eq_u32(keys, t);
-    else return simd::count_eq_u32_scalar(keys, t);
-  };
-  auto sum = [](std::span<const std::uint8_t> keys, std::uint8_t t,
-                std::span<const std::uint64_t> values) {
-    if constexpr (kUseSimd) return simd::masked_sum_u64(keys, t, values);
-    else return simd::masked_sum_u64_scalar(keys, t, values);
-  };
-  QueryEngine::SnapshotAggregate agg;
-  for (std::size_t g = 0; g < leasing::kAllInferenceGroups.size(); ++g) {
-    const leasing::InferenceGroup group = leasing::kAllInferenceGroups[g];
-    const auto key = static_cast<std::uint8_t>(group);
-    agg.groups[g].records = count8(groups, key);
-    agg.groups[g].addresses = sum(groups, key, sizes);
-    if (leasing::is_leased(group)) {
-      agg.leased_records += agg.groups[g].records;
-      agg.leased_addresses += agg.groups[g].addresses;
+// tally() indexes the aggregate's arrays by the raw group and RIR bytes of
+// a row, which Snapshot::open and the delta reader have range-checked.
+// Pin each enumeration array to its enum's values so that index is the
+// slot the STATS renderer labels with kAllInferenceGroups / kAllRirs.
+static_assert([] {
+  for (std::size_t i = 0; i < leasing::kAllInferenceGroups.size(); ++i) {
+    if (static_cast<std::size_t>(leasing::kAllInferenceGroups[i]) != i) {
+      return false;
     }
   }
-  for (std::size_t r = 0; r < whois::kAllRirs.size(); ++r) {
-    agg.rir_records[r] =
-        count8(rirs, static_cast<std::uint8_t>(whois::kAllRirs[r]));
+  for (std::size_t i = 0; i < whois::kAllRirs.size(); ++i) {
+    if (static_cast<std::size_t>(whois::kAllRirs[i]) != i) return false;
   }
-  agg.top_origins.reserve(top_asns.size());
-  for (std::uint32_t asn : top_asns) {
-    agg.top_origins.emplace_back(asn, count32(origins, asn));
-  }
-  return agg;
-}
+  return true;
+}());
 
 }  // namespace
 
@@ -70,7 +41,10 @@ Expected<QueryEngine> QueryEngine::create(const snapshot::Snapshot* snap,
   QueryEngine engine(
       snap, std::make_shared<const PrefixTrie<std::uint32_t>>(
                 std::move(trie)));
-  engine.build_columns();
+  for (std::size_t i = 0; i < snap->record_count(); ++i) {
+    engine.tally(*snap, snap->record(i), +1);
+  }
+  engine.rank_origins();
   return engine;
 }
 
@@ -80,96 +54,83 @@ Expected<QueryEngine> QueryEngine::create_patched(
     const QueryEngine& base, std::span<const std::uint32_t> surviving,
     std::span<const std::uint32_t> patched) {
   QueryEngine engine(snap, std::move(trie));
+  const snapshot::Snapshot& base_snap = base.snapshot();
   const std::size_t n = snap->record_count();
-  const std::size_t base_n = base.origin_col_.size();
-  const std::size_t copied =
-      surviving.empty() ? std::min(base_n, n) : surviving.size();
-  if (copied > n) return fail("patched engine has fewer rows than survive");
-  engine.group_col_.resize(n);
-  engine.rir_col_.resize(n);
-  engine.size_col_.resize(n);
-  engine.origin_col_.resize(n);
+  const std::size_t base_n = base_snap.record_count();
+  const std::size_t kept = surviving.empty() ? base_n : surviving.size();
+  if (kept > n) return fail("patched engine has fewer rows than survive");
+  engine.agg_ = base.agg_;
   engine.origin_counts_ = base.origin_counts_;
-  auto dec = [&engine](std::uint32_t asn) {
-    if (asn == 0) return;
-    auto it = engine.origin_counts_.find(asn);
-    if (it == engine.origin_counts_.end()) return;
-    if (--it->second == 0) engine.origin_counts_.erase(it);
-  };
-  if (surviving.empty()) {
-    std::copy_n(base.group_col_.begin(), copied, engine.group_col_.begin());
-    std::copy_n(base.rir_col_.begin(), copied, engine.rir_col_.begin());
-    std::copy_n(base.size_col_.begin(), copied, engine.size_col_.begin());
-    std::copy_n(base.origin_col_.begin(), copied,
-                engine.origin_col_.begin());
-  } else {
-    // Compacted copy, then uncount the rows the delta removed (the base
-    // rows `surviving` skips — it is strictly increasing by construction).
-    std::size_t s = 0;
-    for (std::uint32_t old = 0; old < base_n; ++old) {
-      if (s < surviving.size() && surviving[s] == old) {
-        engine.group_col_[s] = base.group_col_[old];
-        engine.rir_col_[s] = base.rir_col_[old];
-        engine.size_col_[s] = base.size_col_[old];
-        engine.origin_col_[s] = base.origin_col_[old];
-        ++s;
-      } else {
-        dec(base.origin_col_[old]);
+  if (!surviving.empty()) {
+    // Subtract the rows the delta removed: the gaps between consecutive
+    // surviving base rows (strictly increasing by construction).
+    std::size_t next = 0;  // first base row not yet visited
+    for (std::uint32_t old : surviving) {
+      if (old < next || old >= base_n) {
+        return fail("surviving rows are not an increasing base subset");
       }
+      for (; next < old; ++next) {
+        engine.tally(base_snap, base_snap.record(next), -1);
+      }
+      next = old + 1;
     }
-    if (s != surviving.size()) {
-      return fail("surviving rows are not an increasing base subset");
+    for (; next < base_n; ++next) {
+      engine.tally(base_snap, base_snap.record(next), -1);
     }
   }
+  // The delta reader admits strictly ascending prefixes only, so no row
+  // is patched twice.
   for (std::uint32_t i : patched) {
-    if (i >= copied) continue;  // appended rows recompute below anyway
-    dec(engine.origin_col_[i]);
-    const std::uint32_t asn = engine.recompute_row(i);
-    if (asn != 0) ++engine.origin_counts_[asn];
+    if (i >= kept) continue;  // an appended row, added below
+    const std::uint32_t old = surviving.empty() ? i : surviving[i];
+    engine.tally(base_snap, base_snap.record(old), -1);
+    engine.tally(*snap, snap->record(i), +1);
   }
-  for (std::size_t i = copied; i < n; ++i) {
-    const std::uint32_t asn = engine.recompute_row(i);
-    if (asn != 0) ++engine.origin_counts_[asn];
+  for (std::size_t i = kept; i < n; ++i) {
+    engine.tally(*snap, snap->record(i), +1);
   }
   engine.rank_origins();
   return engine;
 }
 
-std::uint32_t QueryEngine::recompute_row(std::size_t i) {
-  const snapshot::RecordRow& row = snap_->record(i);
-  group_col_[i] = row.group;
-  rir_col_[i] = row.rir;
-  size_col_[i] = std::uint64_t{1} << (32 - row.prefix_len);
-  origin_col_[i] = snap_->first_leaf_origin(row);
-  return origin_col_[i];
-}
-
-void QueryEngine::build_columns() {
-  const std::size_t n = snap_->record_count();
-  group_col_.resize(n);
-  rir_col_.resize(n);
-  size_col_.resize(n);
-  origin_col_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) recompute_row(i);
-  for (std::uint32_t asn : origin_col_) {
-    if (asn != 0) ++origin_counts_[asn];
+void QueryEngine::tally(const snapshot::Snapshot& snap,
+                        const snapshot::RecordRow& row, int sign) {
+  auto adjust = [sign](std::uint64_t& total, std::uint64_t by) {
+    total = sign > 0 ? total + by : total - by;
+  };
+  const std::uint64_t addresses = std::uint64_t{1} << (32 - row.prefix_len);
+  GroupAggregate& group = agg_.groups[row.group];
+  adjust(group.records, 1);
+  adjust(group.addresses, addresses);
+  if (leasing::is_leased(static_cast<leasing::InferenceGroup>(row.group))) {
+    adjust(agg_.leased_records, 1);
+    adjust(agg_.leased_addresses, addresses);
   }
-  rank_origins();
+  adjust(agg_.rir_records[row.rir], 1);
+  const std::uint32_t asn = snap.first_leaf_origin(row);
+  if (asn == 0) return;
+  if (sign > 0) {
+    ++origin_counts_[asn];
+    return;
+  }
+  auto it = origin_counts_.find(asn);
+  if (it != origin_counts_.end() && --it->second == 0) {
+    origin_counts_.erase(it);
+  }
 }
 
 /// Rank leaf-origin ASNs by record count (ties toward the smaller ASN).
-/// Only the ranking is precomputed; aggregate() recounts through the
-/// SIMD primitives so STATS always reflects a measured pass.
 void QueryEngine::rank_origins() {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> ranked(
       origin_counts_.begin(), origin_counts_.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  ranked.resize(std::min(ranked.size(), kTopOrigins));
-  top_origin_asns_.clear();
-  top_origin_asns_.reserve(ranked.size());
-  for (const auto& [asn, count] : ranked) top_origin_asns_.push_back(asn);
+  const std::size_t top = std::min(ranked.size(), kTopOrigins);
+  std::partial_sort(ranked.begin(), ranked.begin() + top, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
+                    });
+  ranked.resize(top);
+  agg_.top_origins = std::move(ranked);
 }
 
 void QueryEngine::lookup_batch(std::span<const std::uint32_t> addrs,
@@ -191,18 +152,8 @@ void QueryEngine::lookup_batch(std::span<const std::uint32_t> addrs,
   }
 }
 
-QueryEngine::SnapshotAggregate QueryEngine::aggregate() const {
-  return run_aggregate<true>(group_col_, rir_col_, size_col_, origin_col_,
-                             top_origin_asns_);
-}
-
-QueryEngine::SnapshotAggregate QueryEngine::aggregate_scalar() const {
-  return run_aggregate<false>(group_col_, rir_col_, size_col_, origin_col_,
-                              top_origin_asns_);
-}
-
 std::string QueryEngine::snapshot_stats_json() const {
-  const SnapshotAggregate agg = aggregate();
+  const SnapshotAggregate& agg = agg_;
   const auto mem = trie_->memory_breakdown();
   JsonWriter json;
   json.begin_object();
@@ -210,7 +161,6 @@ std::string QueryEngine::snapshot_stats_json() const {
       static_cast<std::uint64_t>(snap_->record_count()));
   json.key("lookup_backend")
       .value(trie_->has_stride_table() ? "stride24-8" : "patricia");
-  json.key("simd_backend").value(simd::backend_name());
   json.key("groups");
   json.begin_object();
   for (std::size_t g = 0; g < agg.groups.size(); ++g) {
@@ -245,9 +195,7 @@ std::string QueryEngine::snapshot_stats_json() const {
   json.key("jump_table").value(static_cast<std::uint64_t>(mem.jump_bytes));
   json.key("stride24").value(static_cast<std::uint64_t>(mem.stride24_bytes));
   json.key("stride8").value(static_cast<std::uint64_t>(mem.stride8_bytes));
-  json.key("columns").value(static_cast<std::uint64_t>(columns_bytes()));
-  json.key("total").value(
-      static_cast<std::uint64_t>(mem.total() + columns_bytes()));
+  json.key("total").value(static_cast<std::uint64_t>(mem.total()));
   json.end_object();
   json.end_object();
   return json.take();

@@ -5,10 +5,11 @@
 // each returning the record index whose full inference (evidence included)
 // the caller can materialize or render as JSON. The adopted trie carries
 // the DIR-24-8 stride table, so single lookups take one or two array
-// loads and lookup_batch() streams software-prefetched batches. STATS
-// aggregation runs over columnar copies of the RecordRow fields via the
-// SIMD primitives in util/simd.h. Everything is const after construction —
-// one engine is shared by every server thread without locks.
+// loads and lookup_batch() streams software-prefetched batches. The STATS
+// aggregate is computed once, when the engine is built (or patched from
+// its base epoch's), and rendered as a constant on every request.
+// Everything is const after construction — one engine is shared by every
+// server thread without locks.
 #pragma once
 
 #include <array>
@@ -35,9 +36,9 @@ class QueryEngine {
   static constexpr std::uint32_t kNoRecord =
       PrefixTrie<std::uint32_t>::kNoEntry;
 
-  /// Build from a loaded snapshot (adopts the trie arena and builds the
-  /// stride table + aggregation columns). The snapshot must outlive the
-  /// engine; Error if the trie section is corrupt.
+  /// Build from a loaded snapshot (adopts the trie arena, builds the
+  /// stride table and computes the STATS aggregate). The snapshot must
+  /// outlive the engine; Error if the trie section is corrupt.
   static Expected<QueryEngine> create(const snapshot::Snapshot* snap);
 
   /// Build from a snapshot plus a caller-built trie (leaf prefix -> record
@@ -49,19 +50,21 @@ class QueryEngine {
                                       PrefixTrie<std::uint32_t> trie);
 
   /// Build from a snapshot plus a caller-built trie by PATCHING `base`'s
-  /// aggregation columns instead of recomputing them row-by-row — the
-  /// catalog's delta-apply fast path, where almost every row is unchanged
-  /// from the base epoch. `surviving` maps each new row in
-  /// [0, surviving.size()) to the base row it was compacted from (pass an
-  /// empty span when no rows were removed: the first base-row-count rows
-  /// then copy positionally). `patched` lists new row indices whose
-  /// contents changed in place; rows beyond the copied region (appends)
-  /// are always recomputed from the snapshot. The leaf-origin ranking is
-  /// adjusted incrementally from the base's counts, so the result is
-  /// field-for-field identical to a full create() over the same snapshot.
-  /// The trie arrives behind a shared_ptr: an in-place-only delta leaves
-  /// the base trie bit-identical (structure, values, jump, stride), so
-  /// the catalog shares it across epochs instead of copying the arena.
+  /// aggregate instead of recounting every row — the catalog's delta-apply
+  /// fast path, where almost every row is unchanged from the base epoch.
+  /// `surviving` maps each new row in [0, surviving.size()) to the base row
+  /// it was compacted from (pass an empty span when no rows were removed:
+  /// the base rows then keep their indices; a delta that removes every
+  /// base row has nothing to patch and builds with create()). `patched`
+  /// lists new row indices whose contents changed in place; rows beyond
+  /// the surviving region are appends. Removed and patched base rows are
+  /// subtracted (read from base.snapshot(), whose pools they index),
+  /// patched and appended new rows added, and the leaf-origin ranking
+  /// redone — O(changed rows), and field-for-field identical to a full
+  /// create() over the same snapshot. The trie arrives behind a
+  /// shared_ptr: an in-place-only delta leaves the base trie bit-identical
+  /// (structure, values, jump, stride), so the catalog shares it across
+  /// epochs instead of copying the arena.
   static Expected<QueryEngine> create_patched(
       const snapshot::Snapshot* snap,
       std::shared_ptr<const PrefixTrie<std::uint32_t>> trie,
@@ -116,11 +119,12 @@ class QueryEngine {
   /// One-line JSON rendering of record `idx` (the wire response body).
   std::string record_json(std::uint32_t idx) const;
 
-  // ---- STATS aggregation (columnar, SIMD-dispatched) --------------------
+  // ---- STATS aggregate -------------------------------------------------
 
   struct GroupAggregate {
     std::uint64_t records = 0;
     std::uint64_t addresses = 0;  ///< sum of 2^(32-len) over the records
+    bool operator==(const GroupAggregate&) const = default;
   };
 
   /// Whole-snapshot totals the STATS verb reports: per-group record and
@@ -133,28 +137,19 @@ class QueryEngine {
     std::uint64_t leased_addresses = 0;
     std::vector<std::pair<std::uint32_t, std::uint64_t>>
         top_origins;  ///< (asn, records), most records first
+    bool operator==(const SnapshotAggregate&) const = default;
   };
 
-  /// Columnar pass over every record via the build's SIMD backend.
-  SnapshotAggregate aggregate() const;
-  /// Same pass pinned to the scalar primitives — the differential tests'
-  /// reference; results must match aggregate() bit-for-bit.
-  SnapshotAggregate aggregate_scalar() const;
+  /// The aggregate, computed once when the engine was built.
+  const SnapshotAggregate& aggregate() const { return agg_; }
 
   /// One-line JSON for the STATS verb's "snapshot" section: the aggregate
-  /// plus the trie/column memory breakdown.
+  /// plus the trie memory breakdown.
   std::string snapshot_stats_json() const;
 
   /// Trie footprint by structure (nodes, values, jump, stride levels).
   PrefixTrie<std::uint32_t>::MemoryBreakdown trie_memory() const {
     return trie_->memory_breakdown();
-  }
-  /// Bytes held by the aggregation columns.
-  std::size_t columns_bytes() const {
-    return group_col_.size() * sizeof(std::uint8_t) +
-           rir_col_.size() * sizeof(std::uint8_t) +
-           size_col_.size() * sizeof(std::uint64_t) +
-           origin_col_.size() * sizeof(std::uint32_t);
   }
 
   const snapshot::Snapshot& snapshot() const { return *snap_; }
@@ -174,29 +169,20 @@ class QueryEngine {
               std::shared_ptr<const PrefixTrie<std::uint32_t>> trie)
       : snap_(snap), trie_(std::move(trie)) {}
 
-  void build_columns();
-  /// Recompute the columns for row `i` from the snapshot and return the
-  /// row's leaf-origin ASN (0 = none).
-  std::uint32_t recompute_row(std::size_t i);
-  /// Rank origin_counts_ into top_origin_asns_ (ties toward smaller ASN).
+  /// Add (`sign` = +1) or subtract (-1) one row's contribution to agg_
+  /// and origin_counts_. `snap` is the snapshot whose pools the row indexes.
+  void tally(const snapshot::Snapshot& snap, const snapshot::RecordRow& row,
+             int sign);
+  /// Rank origin_counts_ into agg_.top_origins (ties toward smaller ASN).
   void rank_origins();
 
   const snapshot::Snapshot* snap_;
   std::shared_ptr<const PrefixTrie<std::uint32_t>> trie_;
 
-  // Columnar copies of the RecordRow fields STATS aggregates over; built
-  // once at create() so the per-request pass touches dense arrays instead
-  // of striding through 60-byte rows.
-  std::vector<std::uint8_t> group_col_;
-  std::vector<std::uint8_t> rir_col_;
-  std::vector<std::uint64_t> size_col_;    // addresses covered per record
-  std::vector<std::uint32_t> origin_col_;  // first leaf origin (0 = none)
+  SnapshotAggregate agg_;
   // Per-origin record counts behind the ranking, kept so create_patched()
   // can adjust them incrementally instead of recounting every row.
   std::unordered_map<std::uint32_t, std::uint64_t> origin_counts_;
-  // Most common leaf-origin ASNs (ranked at build); their counts are
-  // recomputed through the SIMD primitives on every aggregate() call.
-  std::vector<std::uint32_t> top_origin_asns_;
 };
 
 }  // namespace sublet::serve

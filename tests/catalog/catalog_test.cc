@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,17 @@ TEST(CatalogDelta, IdenticalEpochsEncodeEmptyDelta) {
   ASSERT_TRUE(delta) << delta.error().to_string();
   EXPECT_EQ(delta->removed().size(), 0u);
   EXPECT_EQ(delta->rows().size(), 0u);
+}
+
+TEST(CatalogDelta, RejectsRowsOutOfCanonicalOrder) {
+  // The encoder requires canonical lists; fed a list out of order or with
+  // a repeated prefix, it writes rows the reader must refuse — the apply
+  // path counts each upserted prefix once.
+  const auto a = record("10.0.0.0/24", InferenceGroup::kLeasedNoRoot);
+  const auto b = record("10.0.1.0/24", InferenceGroup::kLeasedNoRoot);
+  EXPECT_TRUE(Delta::from_bytes(encode_delta(100, {}, 200, {a, b})));
+  EXPECT_FALSE(Delta::from_bytes(encode_delta(100, {}, 200, {b, a})));
+  EXPECT_FALSE(Delta::from_bytes(encode_delta(100, {}, 200, {a, a})));
 }
 
 TEST(CatalogDelta, CorruptionMatrix) {
@@ -446,6 +458,24 @@ TEST(CatalogDifferential, DeltaChainIsByteIdenticalToFullSnapshots) {
     if (k > 0) EXPECT_EQ(entry->kind, EpochKind::kDelta) << "epoch " << k;
   }
 
+  // The series churns lease state over a fixed allocation forest, so its
+  // deltas rewrite rows in place (the shared-trie apply); removals and
+  // appends are driven by PatchedAggregateFollowsRemovalsAndTies below.
+  bool patches = false;
+  for (std::size_t k = 1; k < series.inferences.size(); ++k) {
+    std::map<Prefix, LeaseInference> before;
+    for (LeaseInference& r : canonical_inferences(series.inferences[k - 1])) {
+      before.emplace(r.prefix, std::move(r));
+    }
+    for (const LeaseInference& r : series.inferences[k]) {
+      auto it = before.find(r.prefix);
+      if (it != before.end() && !same_inference(it->second, r)) {
+        patches = true;
+      }
+    }
+  }
+  EXPECT_TRUE(patches);
+
   auto opened = Catalog::open(dir);
   ASSERT_TRUE(opened);
   for (std::size_t k = 0; k < series.timestamps.size(); ++k) {
@@ -458,9 +488,9 @@ TEST(CatalogDifferential, DeltaChainIsByteIdenticalToFullSnapshots) {
         << "epoch " << series.timestamps[k] << " not byte-identical";
 
     // And the fast apply path answers exactly like a direct engine: the
-    // patched aggregation columns (QueryEngine::create_patched) must
-    // reproduce a from-scratch engine's STATS aggregate field-for-field,
-    // including the incrementally maintained top-origin ranking.
+    // patched aggregate (QueryEngine::create_patched) must reproduce a
+    // from-scratch engine's STATS aggregate field-for-field, including the
+    // incrementally maintained top-origin ranking.
     auto state = (*opened)->materialize(series.timestamps[k]);
     ASSERT_TRUE(state);
     EXPECT_EQ((*state)->snapshot().record_count(), records->size());
@@ -470,8 +500,8 @@ TEST(CatalogDifferential, DeltaChainIsByteIdenticalToFullSnapshots) {
     write_bytes(full_path, expected);
     auto fresh = serve::EngineState::load(full_path);
     ASSERT_TRUE(fresh) << fresh.error().to_string();
-    auto got = (*state)->engine().aggregate();
-    auto want = (*fresh)->engine().aggregate();
+    const auto& got = (*state)->engine().aggregate();
+    const auto& want = (*fresh)->engine().aggregate();
     for (std::size_t g = 0; g < want.groups.size(); ++g) {
       EXPECT_EQ(got.groups[g].records, want.groups[g].records)
           << "epoch " << series.timestamps[k] << " group " << g;
@@ -485,6 +515,64 @@ TEST(CatalogDifferential, DeltaChainIsByteIdenticalToFullSnapshots) {
     EXPECT_EQ(got.top_origins, want.top_origins)
         << "epoch " << series.timestamps[k] << " origin ranking diverged";
   }
+  remove_tree(dir);
+}
+
+TEST(CatalogDifferential, PatchedAggregateFollowsRemovalsAndTies) {
+  // Hand-built epochs for the delta shapes the seeded series never
+  // produces. Epoch 2 removes a row of the top leaf origin, rewrites a row
+  // in place behind it (so the surviving-row map shifts) and appends one:
+  // three origins end tied, broken toward the smaller ASN, and the
+  // rewritten row's old origin drops out. Epoch 3 replaces every row.
+  auto with_origin = [](const char* prefix, std::uint32_t asn) {
+    LeaseInference r = record(prefix, InferenceGroup::kLeasedNoRoot);
+    r.leaf_origins = {Asn(asn)};
+    return r;
+  };
+  std::vector<std::vector<LeaseInference>> sets;
+  sets.push_back(canonical_inferences({
+      with_origin("10.0.0.0/24", 65010), with_origin("10.0.1.0/24", 65010),
+      with_origin("10.0.2.0/24", 65010), with_origin("10.0.3.0/24", 65005),
+      with_origin("10.0.4.0/24", 65005), with_origin("10.0.5.0/24", 65020)}));
+  std::vector<LeaseInference> second(sets[0].begin() + 1, sets[0].end());
+  second.back() = with_origin("10.0.5.0/24", 65040);
+  second.back().group = InferenceGroup::kIspCustomer;
+  second.push_back(with_origin("10.0.9.0/24", 65040));
+  sets.push_back(canonical_inferences(std::move(second)));
+  sets.push_back(canonical_inferences({with_origin("10.1.0.0/24", 65030),
+                                       with_origin("10.1.1.0/24", 65030)}));
+  const std::vector<std::uint32_t> epochs{1000, 2000, 3000};
+
+  std::string dir = temp_dir("ties");
+  remove_tree(dir);
+  ASSERT_TRUE(catalog_init(dir, epochs[0], sets[0]));
+  AppendOptions always_delta;
+  always_delta.max_delta_fraction = 100.0;
+  for (std::size_t k = 1; k < epochs.size(); ++k) {
+    auto entry = catalog_append(dir, epochs[k], sets[k], always_delta);
+    ASSERT_TRUE(entry) << entry.error().to_string();
+    EXPECT_EQ(entry->kind, EpochKind::kDelta) << "epoch " << epochs[k];
+  }
+
+  auto opened = Catalog::open(dir);
+  ASSERT_TRUE(opened);
+  for (std::size_t k = 0; k < epochs.size(); ++k) {
+    auto state = (*opened)->materialize(epochs[k]);
+    ASSERT_TRUE(state) << state.error().to_string();
+    const std::string full_path =
+        dir + "/full-" + std::to_string(epochs[k]) + ".snap";
+    write_bytes(full_path, snapshot::encode_snapshot(sets[k]));
+    auto fresh = serve::EngineState::load(full_path);
+    ASSERT_TRUE(fresh) << fresh.error().to_string();
+    EXPECT_TRUE((*state)->engine().aggregate() ==
+                (*fresh)->engine().aggregate())
+        << "epoch " << epochs[k];
+  }
+  auto tied = (*opened)->materialize(epochs[1]);
+  ASSERT_TRUE(tied);
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> ranking{
+      {65005, 2}, {65010, 2}, {65040, 2}};
+  EXPECT_EQ((*tied)->engine().aggregate().top_origins, ranking);
   remove_tree(dir);
 }
 

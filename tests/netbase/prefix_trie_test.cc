@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "netbase/legacy_prefix_trie.h"
+#include "brute_force_prefix_map.h"
 #include "util/rng.h"
 
 namespace sublet {
@@ -356,26 +356,26 @@ TEST_P(TrieFreezeProperty, FreezeEquivalentToInsert) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieFreezeProperty,
                          testing::Values(7, 77, 777));
 
-// Differential property: the arena trie agrees with the retained legacy
-// one-node-per-bit trie on every query type, for random workloads.
+// Differential property: the arena trie agrees with the brute-force oracle
+// on every query type, for random workloads.
 class TrieLegacyDifferential : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TrieLegacyDifferential, MatchesLegacyTrie) {
   Rng rng(GetParam());
   PrefixTrie<int> trie;
-  LegacyPrefixTrie<int> legacy;
+  BruteForcePrefixMap<int> oracle;
   for (int i = 0; i < 300; ++i) {
     int len = static_cast<int>(rng.next_in(0, 30));
     auto p = *Prefix::make(Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())),
                            len);
     trie.insert(p, i);
-    legacy.insert(p, i);
+    oracle.insert(p, i);
   }
-  ASSERT_EQ(trie.size(), legacy.size());
+  ASSERT_EQ(trie.size(), oracle.size());
 
   std::vector<std::pair<Prefix, int>> a, b;
   trie.visit([&](const Prefix& p, const int& v) { a.emplace_back(p, v); });
-  legacy.visit([&](const Prefix& p, const int& v) { b.emplace_back(p, v); });
+  oracle.visit([&](const Prefix& p, const int& v) { b.emplace_back(p, v); });
   EXPECT_EQ(a, b);
 
   auto keys = [](const std::vector<std::pair<Prefix, const int*>>& v) {
@@ -383,23 +383,20 @@ TEST_P(TrieLegacyDifferential, MatchesLegacyTrie) {
     for (const auto& [p, ptr] : v) out.push_back(p);
     return out;
   };
-  EXPECT_EQ(keys(trie.roots()), keys(legacy.roots()));
-  EXPECT_EQ(keys(trie.leaves()), keys(legacy.leaves()));
+  EXPECT_EQ(keys(trie.roots()), keys(oracle.roots()));
+  EXPECT_EQ(keys(trie.leaves()), keys(oracle.leaves()));
 
   for (int q = 0; q < 300; ++q) {
     int len = static_cast<int>(rng.next_in(0, 32));
     auto query = *Prefix::make(
         Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())), len);
     EXPECT_EQ(deref(trie.most_specific_covering(query)),
-              deref(legacy.most_specific_covering(query)));
+              deref(oracle.most_specific_covering(query)));
     EXPECT_EQ(deref(trie.least_specific_covering(query)),
-              deref(legacy.least_specific_covering(query)));
-    EXPECT_EQ(deref(trie.all_covering(query)), deref(legacy.all_covering(query)));
-    EXPECT_EQ(keys(trie.descendants(query)), keys(legacy.descendants(query)));
+              deref(oracle.least_specific_covering(query)));
+    EXPECT_EQ(deref(trie.all_covering(query)), deref(oracle.all_covering(query)));
+    EXPECT_EQ(keys(trie.descendants(query)), keys(oracle.descendants(query)));
   }
-  // The arena layout should be dramatically smaller than the per-bit heap
-  // trie for the same entries.
-  EXPECT_LT(trie.memory_bytes() * 2, legacy.memory_bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieLegacyDifferential,

@@ -1,6 +1,6 @@
 // Differential property suite for the DIR-24-8 stride table
 // (docs/PERF.md): the stride-accelerated query paths must be byte-identical
-// to the legacy one-node-per-bit trie and to the plain Patricia walk, on
+// to the brute-force oracle and to the plain Patricia walk, on
 // random worlds and on the adversarial shapes that stress the two-level
 // layout (default route, dense /24 sibling runs, >24-bit chains inside one
 // bucket, duplicate last-wins), single-threaded and under concurrent
@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "netbase/legacy_prefix_trie.h"
+#include "brute_force_prefix_map.h"
 #include "netbase/prefix_trie.h"
 #include "util/rng.h"
 
@@ -34,26 +34,26 @@ std::vector<std::pair<Prefix, int>> deref(
 }
 
 /// Compare every query path of a stride-enabled trie against a strideless
-/// Patricia control and the legacy trie for one query.
+/// Patricia control and the brute-force oracle for one query.
 void expect_same_answers(const PrefixTrie<int>& stride,
                          const PrefixTrie<int>& patricia,
-                         const LegacyPrefixTrie<int>& legacy,
+                         const BruteForcePrefixMap<int>& oracle,
                          const Prefix& query) {
-  const auto want = deref(legacy.most_specific_covering(query));
+  const auto want = deref(oracle.most_specific_covering(query));
   EXPECT_EQ(deref(stride.most_specific_covering(query)), want)
       << query.to_string();
   EXPECT_EQ(deref(patricia.most_specific_covering(query)), want)
       << query.to_string();
   const int* sf = stride.find(query);
   const int* pf = patricia.find(query);
-  const int* lf = legacy.find(query);
-  ASSERT_EQ(sf != nullptr, lf != nullptr) << query.to_string();
-  ASSERT_EQ(pf != nullptr, lf != nullptr) << query.to_string();
-  if (lf) {
-    EXPECT_EQ(*sf, *lf) << query.to_string();
-    EXPECT_EQ(*pf, *lf) << query.to_string();
+  const int* of = oracle.find(query);
+  ASSERT_EQ(sf != nullptr, of != nullptr) << query.to_string();
+  ASSERT_EQ(pf != nullptr, of != nullptr) << query.to_string();
+  if (of) {
+    EXPECT_EQ(*sf, *of) << query.to_string();
+    EXPECT_EQ(*pf, *of) << query.to_string();
   }
-  EXPECT_EQ(deref(stride.all_covering(query)), deref(legacy.all_covering(query)))
+  EXPECT_EQ(deref(stride.all_covering(query)), deref(oracle.all_covering(query)))
       << query.to_string();
   // For a /32 query the handle path must agree with the covering walk.
   if (query.length() == 32) {
@@ -72,14 +72,14 @@ void expect_same_answers(const PrefixTrie<int>& stride,
 struct World {
   PrefixTrie<int> stride;
   PrefixTrie<int> patricia;
-  LegacyPrefixTrie<int> legacy;
+  BruteForcePrefixMap<int> oracle;
 };
 
 World build_world(const std::vector<std::pair<Prefix, int>>& entries) {
   World w;
   w.stride = PrefixTrie<int>::freeze(entries, TrieStride::kBuild);
   w.patricia = PrefixTrie<int>::freeze(entries, TrieStride::kOff);
-  for (const auto& [p, v] : entries) w.legacy.insert(p, v);
+  for (const auto& [p, v] : entries) w.oracle.insert(p, v);
   return w;
 }
 
@@ -90,7 +90,7 @@ TEST(StrideTable, DefaultRouteCoversEverything) {
        {"0.0.0.0/32", "255.255.255.255/32", "10.1.2.3/32", "213.210.33.7/32",
         "213.210.0.0/18", "213.210.32.0/20", "8.8.8.8/32", "0.0.0.0/0",
         "128.0.0.0/1"}) {
-    expect_same_answers(w.stride, w.patricia, w.legacy, P(q));
+    expect_same_answers(w.stride, w.patricia, w.oracle, P(q));
   }
 }
 
@@ -114,13 +114,13 @@ TEST(StrideTable, DenseSlash24SiblingRun) {
     const std::uint32_t addr =
         0x0A000000u + static_cast<std::uint32_t>(rng.next_in(0, 0x2FFFF));
     const int len = static_cast<int>(rng.next_in(8, 32));
-    expect_same_answers(w.stride, w.patricia, w.legacy,
+    expect_same_answers(w.stride, w.patricia, w.oracle,
                         *Prefix::make(Ipv4Addr(addr), len));
   }
   for (const char* q : {"10.1.0.0/24", "10.1.255.255/32", "10.2.0.0/24",
                         "10.0.255.255/32", "10.1.7.200/32", "10.1.7.129/32",
                         "10.1.7.0/25", "10.1.7.128/26"}) {
-    expect_same_answers(w.stride, w.patricia, w.legacy, P(q));
+    expect_same_answers(w.stride, w.patricia, w.oracle, P(q));
   }
 }
 
@@ -138,14 +138,14 @@ TEST(StrideTable, DeepChainsBeyondSlash24) {
   entries.emplace_back(P("198.51.100.160/27"), 127);
   auto w = build_world(entries);
   for (int len = 0; len <= 32; ++len) {
-    expect_same_answers(w.stride, w.patricia, w.legacy,
+    expect_same_answers(w.stride, w.patricia, w.oracle,
                         *Prefix::make(Ipv4Addr(base), len));
   }
   for (const char* q : {"198.51.100.129/32", "198.51.100.161/32",
                         "198.51.100.191/32", "198.51.100.192/32",
                         "198.51.100.255/32", "198.51.101.0/32",
                         "198.51.100.160/28", "198.51.100.0/31"}) {
-    expect_same_answers(w.stride, w.patricia, w.legacy, P(q));
+    expect_same_answers(w.stride, w.patricia, w.oracle, P(q));
   }
 }
 
@@ -159,7 +159,7 @@ TEST(StrideTable, DuplicateEntriesLastWins) {
   EXPECT_EQ(w.stride.size(), 3u);
   for (const char* q : {"10.0.0.0/8", "10.9.8.0/24", "10.9.8.7/32",
                         "10.9.8.6/32", "10.64.0.0/10"}) {
-    expect_same_answers(w.stride, w.patricia, w.legacy, P(q));
+    expect_same_answers(w.stride, w.patricia, w.oracle, P(q));
   }
 }
 
@@ -229,7 +229,7 @@ TEST(StrideTable, MemoryBreakdownCountsEveryStructure) {
   EXPECT_EQ(none.total(), off.memory_bytes());
 }
 
-// Random-world differential: stride vs Patricia vs legacy across the whole
+// Random-world differential: stride vs Patricia vs oracle across the whole
 // query surface, including host-bit-dense corners.
 class StrideDifferential : public testing::TestWithParam<std::uint64_t> {};
 
@@ -247,18 +247,18 @@ TEST_P(StrideDifferential, MatchesLegacyAndPatricia) {
         i);
   }
   auto w = build_world(entries);
-  ASSERT_EQ(w.stride.size(), w.legacy.size());
+  ASSERT_EQ(w.stride.size(), w.oracle.size());
   for (int q = 0; q < 400; ++q) {
     const int len = static_cast<int>(rng.next_in(0, 32));
     const auto query = *Prefix::make(
         Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())), len);
-    expect_same_answers(w.stride, w.patricia, w.legacy, query);
+    expect_same_answers(w.stride, w.patricia, w.oracle, query);
   }
   // Queries aimed at stored entries and their neighbors (guaranteed hits
   // and near-miss siblings).
   for (const auto& [p, v] : entries) {
-    expect_same_answers(w.stride, w.patricia, w.legacy, p);
-    expect_same_answers(w.stride, w.patricia, w.legacy,
+    expect_same_answers(w.stride, w.patricia, w.oracle, p);
+    expect_same_answers(w.stride, w.patricia, w.oracle,
                         *Prefix::make(Ipv4Addr(p.network().value() ^ 1u), 32));
   }
 }

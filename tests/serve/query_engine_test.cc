@@ -132,7 +132,6 @@ TEST_F(ServeEngine, SnapshotStatsJsonShape) {
   EXPECT_NE(json.find("\"records\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"lookup_backend\":\"stride24-8\""), std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"simd_backend\":\""), std::string::npos) << json;
   // One leased(g4) /24 and one isp-customer /16 in the fixture.
   EXPECT_NE(json.find("\"leased(g4)\":{\"records\":1,\"addresses\":256}"),
             std::string::npos)
@@ -153,20 +152,22 @@ TEST_F(ServeEngine, SnapshotStatsJsonShape) {
   const std::string stride24 =
       "\"stride24\":" + std::to_string((std::size_t{1} << 24) * 4);
   EXPECT_NE(json.find(stride24), std::string::npos) << json;
-  EXPECT_NE(json.find("\"columns\":"), std::string::npos) << json;
+  // The trie is the only structure the engine sizes, so it is the total.
+  const std::string total =
+      "\"total\":" + std::to_string(engine_->trie_memory().total());
+  EXPECT_NE(json.find(total), std::string::npos) << json;
 }
 
 TEST_F(ServeEngine, TrieMemoryBreakdownIsConsistent) {
   const auto mem = engine_->trie_memory();
   EXPECT_EQ(mem.stride24_bytes, (std::size_t{1} << 24) * sizeof(std::uint32_t));
   EXPECT_GT(mem.node_bytes, 0u);
-  EXPECT_GT(engine_->columns_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Random-world differentials: batched lookups against the per-query path,
-// and SIMD aggregation against both the scalar pass and a brute-force
-// recount straight off the materialized records.
+// and the precomputed aggregate against a brute-force recount straight off
+// the materialized records.
 
 std::vector<LeaseInference> random_world(std::uint64_t seed,
                                          std::size_t count) {
@@ -240,9 +241,8 @@ TEST_F(ServeEngineWorld, LookupBatchMatchesLongestMatch) {
   EXPECT_GT(hits, 0u);  // the probe mix must actually exercise the hit path
 }
 
-TEST_F(ServeEngineWorld, AggregateMatchesScalarAndBruteForce) {
-  const auto simd_agg = engine_->aggregate();
-  const auto scalar_agg = engine_->aggregate_scalar();
+TEST_F(ServeEngineWorld, AggregateMatchesBruteForce) {
+  const auto& agg = engine_->aggregate();
 
   // Brute force straight off the materialized records.
   std::array<QueryEngine::GroupAggregate,
@@ -268,19 +268,14 @@ TEST_F(ServeEngineWorld, AggregateMatchesScalarAndBruteForce) {
   }
 
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    EXPECT_EQ(simd_agg.groups[g].records, groups[g].records) << g;
-    EXPECT_EQ(simd_agg.groups[g].addresses, groups[g].addresses) << g;
-    EXPECT_EQ(scalar_agg.groups[g].records, groups[g].records) << g;
-    EXPECT_EQ(scalar_agg.groups[g].addresses, groups[g].addresses) << g;
+    EXPECT_EQ(agg.groups[g].records, groups[g].records) << g;
+    EXPECT_EQ(agg.groups[g].addresses, groups[g].addresses) << g;
   }
   for (std::size_t r = 0; r < rirs.size(); ++r) {
-    EXPECT_EQ(simd_agg.rir_records[r], rirs[r]) << r;
-    EXPECT_EQ(scalar_agg.rir_records[r], rirs[r]) << r;
+    EXPECT_EQ(agg.rir_records[r], rirs[r]) << r;
   }
-  EXPECT_EQ(simd_agg.leased_records, leased_records);
-  EXPECT_EQ(simd_agg.leased_addresses, leased_addresses);
-  EXPECT_EQ(scalar_agg.leased_records, leased_records);
-  EXPECT_EQ(scalar_agg.leased_addresses, leased_addresses);
+  EXPECT_EQ(agg.leased_records, leased_records);
+  EXPECT_EQ(agg.leased_addresses, leased_addresses);
 
   // Top origins: rank brute-force counts the same way (count desc, ASN
   // asc, top 8) and require an exact match, order included.
@@ -290,8 +285,7 @@ TEST_F(ServeEngineWorld, AggregateMatchesScalarAndBruteForce) {
     return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
   ranked.resize(std::min<std::size_t>(ranked.size(), 8));
-  EXPECT_EQ(simd_agg.top_origins, ranked);
-  EXPECT_EQ(scalar_agg.top_origins, ranked);
+  EXPECT_EQ(agg.top_origins, ranked);
 }
 
 }  // namespace

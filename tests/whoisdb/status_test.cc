@@ -11,6 +11,13 @@ struct StatusCase {
   Portability expected;
 };
 
+// Names each case by its input; without this gtest prints the struct's raw
+// bytes (padding and the string pointer), so the case names would change
+// from build to build.
+void PrintTo(const StatusCase& c, std::ostream* os) {
+  *os << rir_name(c.rir) << " '" << c.status << "'";
+}
+
 class StatusTaxonomy : public testing::TestWithParam<StatusCase> {};
 
 TEST_P(StatusTaxonomy, ClassifiesPerPaperSection21) {
