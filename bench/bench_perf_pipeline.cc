@@ -686,7 +686,7 @@ void BM_CatalogMaterialize(benchmark::State& state) {
   // Best-of-three wall times for each side, measured outside the benchmark
   // loop: one delta apply on top of a hot base chain vs a cold full load.
   // The apply targets a history epoch — history epochs skip the DIR-24-8
-  // stride table by design (CatalogOptions::stride_latest), while the full
+  // stride table by design (only the latest epoch builds it), while the full
   // load is the standard single-snapshot serving path including it, so the
   // ratio states exactly what time travel buys over reloading snapshots.
   double delta_ns = 1e18, full_ns = 1e18;
@@ -787,7 +787,7 @@ BENCHMARK(BM_HistoryQuery)
     ->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
-/// Arg: server handler threads. Eight loopback clients fan requests at the
+/// Arg: server event-loop shards. Eight loopback clients fan requests at the
 /// server; items/sec is end-to-end queries/sec including the TCP hop.
 void BM_ServeQueries(benchmark::State& state) {
   const auto& files = snapshot_bench_files(100000);
@@ -797,7 +797,7 @@ void BM_ServeQueries(benchmark::State& state) {
     return;
   }
   serve::QueryServer::Options options;
-  options.threads = static_cast<unsigned>(state.range(0));
+  options.shards = static_cast<unsigned>(state.range(0));
   serve::QueryServer server(*engine_state, options);
   auto port = server.start();
   if (!port) {
@@ -872,7 +872,7 @@ void BM_ServeReloadUnderLoad(benchmark::State& state) {
   serve::QueryServer::Options options;
   // Thread-per-connection: 8 persistent hammer clients + the control
   // connection need headroom so a RELOAD is never queued behind them.
-  options.threads = 12;
+  options.shards = 12;
   serve::QueryServer server(*engine_state, options);
   auto port = server.start();
   if (!port) {

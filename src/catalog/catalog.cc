@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -477,15 +478,15 @@ Catalog::materialize_locked(const std::vector<EpochEntry>& entries,
       fail("unreachable");
   if (entry->kind == EpochKind::kFull) {
     auto snap = open_snapshot_checked(join(dir_, entry->name),
-                                      options_.mode);
+                                      snapshot::Snapshot::Mode::kMap);
     if (!snap) return snap.error();
-    auto trie = snap->build_trie(is_latest && options_.stride_latest
-                                     ? TrieStride::kBuild
-                                     : TrieStride::kOff);
-    if (!trie) return trie.error();
-    state = serve::EngineState::adopt_with_trie(
+    // Only the latest epoch carries the DIR-24-8 stride table; history
+    // epochs serve from the Patricia walk + jump table
+    // (docs/TIMETRAVEL.md explains the trade-off).
+    state = serve::EngineState::adopt(
         std::make_unique<snapshot::Snapshot>(std::move(*snap)),
-        std::move(*trie), join(dir_, entry->name), epoch, epoch);
+        join(dir_, entry->name), epoch, epoch,
+        is_latest ? TrieStride::kBuild : TrieStride::kOff);
   } else {
     auto base = materialize_locked(entries, entry->base_epoch);
     if (!base) return base.error();
@@ -550,9 +551,8 @@ Expected<std::shared_ptr<const serve::EngineState>> Catalog::apply_delta(
       }
     }
   }
-  const bool need_stride = is_latest && options_.stride_latest;
   const bool share_trie =
-      !mutates_structure && (!need_stride || base_trie.has_stride_table());
+      !mutates_structure && (!is_latest || base_trie.has_stride_table());
 
   snapshot::Snapshot::OwnedParts parts;
   parts.rows.assign(bs.records().begin(), bs.records().end());
@@ -660,36 +660,26 @@ Expected<std::shared_ptr<const serve::EngineState>> Catalog::apply_delta(
     }
   }
 
-  auto snap = std::make_unique<snapshot::Snapshot>(
-      snapshot::Snapshot::from_parts(std::move(parts)));
-  if (share_trie) {
-    return serve::EngineState::adopt_patched(
-        std::move(snap), be.shared_trie(), be, surviving, patched,
-        join(dir_, entry.name), entry.epoch, entry.epoch);
-  }
-
-  // In-place-only applies (no erase, no insert) leave the node arena
-  // identical to the base trie's, so its jump table is still exact —
-  // reached when only the stride requirement forced the copy.
-  if (removed_any || inserted_any) {
-    trie.build_jump_table();
-  } else {
-    trie.adopt_jump_table(base_trie);
-  }
-  if (need_stride) trie.build_stride_table();
-
-  if (removed_any && surviving.empty()) {
-    // Every base row went: there is nothing to patch from, and an empty
-    // `surviving` would read as "none removed".
-    return serve::EngineState::adopt_with_trie(
-        std::move(snap), std::move(trie), join(dir_, entry.name),
-        entry.epoch, entry.epoch);
+  std::shared_ptr<const PrefixTrie<std::uint32_t>> shared = be.shared_trie();
+  if (!share_trie) {
+    // In-place-only applies (no erase, no insert) leave the node arena
+    // identical to the base trie's, so its jump table is still exact —
+    // reached when only the stride requirement forced the copy.
+    if (removed_any || inserted_any) {
+      trie.build_jump_table();
+    } else {
+      trie.adopt_jump_table(base_trie);
+    }
+    if (is_latest) trie.build_stride_table();
+    shared = std::make_shared<const PrefixTrie<std::uint32_t>>(std::move(trie));
   }
   return serve::EngineState::adopt_patched(
-      std::move(snap),
-      std::make_shared<const PrefixTrie<std::uint32_t>>(std::move(trie)),
-      be, surviving, patched, join(dir_, entry.name), entry.epoch,
-      entry.epoch);
+      std::make_unique<snapshot::Snapshot>(
+          snapshot::Snapshot::from_parts(std::move(parts))),
+      std::move(shared), be,
+      removed_any ? std::optional<std::span<const std::uint32_t>>(surviving)
+                  : std::nullopt,
+      patched, join(dir_, entry.name), entry.epoch, entry.epoch);
 }
 
 Expected<std::shared_ptr<const serve::EngineState>> Catalog::refresh() {

@@ -66,11 +66,6 @@ struct CatalogOptions {
   /// Materialized epochs kept hot; the latest epoch is pinned on top of
   /// this, so it can never be evicted by history traffic.
   std::size_t lru_capacity = 8;
-  snapshot::Snapshot::Mode mode = snapshot::Snapshot::Mode::kMap;
-  /// Build the DIR-24-8 stride table for the latest epoch only; history
-  /// epochs serve from the Patricia walk + jump table (docs/TIMETRAVEL.md
-  /// explains the tradeoff).
-  bool stride_latest = true;
 };
 
 class Catalog : public serve::EpochSource {

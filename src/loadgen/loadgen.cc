@@ -1003,7 +1003,9 @@ Expected<LoadReport> run_load(const LoadOptions& options) {
         st.host, static_cast<std::uint16_t>(st.port.load()), "METRICS");
     if (metrics) {
       chaos.report.outbuf_overflows =
-          scrape_counter(*metrics, "sublet_serve_outbuf_overflow_total");
+          scrape_counter(*metrics,
+                         obs::labeled("sublet_serve_conn_closed_total",
+                                      "reason", "outbuf_overflow"));
     }
     report.slow_requests = collect_slow_evidence(
         st.host, static_cast<std::uint16_t>(st.port.load()));

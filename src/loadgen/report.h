@@ -50,7 +50,8 @@ struct ChaosReport {
   std::uint64_t kills = 0;         ///< killappend + killserver executed
   std::uint64_t churn_conns = 0;
   std::uint64_t slow_readers = 0;
-  /// sublet_serve_outbuf_overflow_total scraped after the run.
+  /// sublet_serve_conn_closed_total{reason="outbuf_overflow"} scraped
+  /// after the run.
   std::uint64_t outbuf_overflows = 0;
 };
 

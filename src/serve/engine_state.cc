@@ -3,9 +3,8 @@
 namespace sublet::serve {
 
 Expected<std::shared_ptr<const EngineState>> EngineState::load(
-    const std::string& path, snapshot::Snapshot::Mode mode,
-    std::uint64_t generation, std::uint32_t epoch) {
-  auto snap = snapshot::Snapshot::open(path, mode);
+    const std::string& path, std::uint64_t generation, std::uint32_t epoch) {
+  auto snap = snapshot::Snapshot::open(path);
   if (!snap) return snap.error();
   return adopt(std::make_unique<snapshot::Snapshot>(std::move(*snap)), path,
                generation, epoch);
@@ -13,18 +12,8 @@ Expected<std::shared_ptr<const EngineState>> EngineState::load(
 
 Expected<std::shared_ptr<const EngineState>> EngineState::adopt(
     std::unique_ptr<snapshot::Snapshot> snap, std::string path,
-    std::uint64_t generation, std::uint32_t epoch) {
-  auto engine = QueryEngine::create(snap.get());
-  if (!engine) return engine.error();
-  return std::shared_ptr<const EngineState>(
-      new EngineState(std::move(snap), std::move(*engine), std::move(path),
-                      generation, epoch));
-}
-
-Expected<std::shared_ptr<const EngineState>> EngineState::adopt_with_trie(
-    std::unique_ptr<snapshot::Snapshot> snap, PrefixTrie<std::uint32_t> trie,
-    std::string path, std::uint64_t generation, std::uint32_t epoch) {
-  auto engine = QueryEngine::create(snap.get(), std::move(trie));
+    std::uint64_t generation, std::uint32_t epoch, TrieStride stride) {
+  auto engine = QueryEngine::create(snap.get(), stride);
   if (!engine) return engine.error();
   return std::shared_ptr<const EngineState>(
       new EngineState(std::move(snap), std::move(*engine), std::move(path),
@@ -34,7 +23,8 @@ Expected<std::shared_ptr<const EngineState>> EngineState::adopt_with_trie(
 Expected<std::shared_ptr<const EngineState>> EngineState::adopt_patched(
     std::unique_ptr<snapshot::Snapshot> snap,
     std::shared_ptr<const PrefixTrie<std::uint32_t>> trie,
-    const QueryEngine& base, std::span<const std::uint32_t> surviving,
+    const QueryEngine& base,
+    std::optional<std::span<const std::uint32_t>> surviving,
     std::span<const std::uint32_t> patched, std::string path,
     std::uint64_t generation, std::uint32_t epoch) {
   auto engine = QueryEngine::create_patched(snap.get(), std::move(trie),

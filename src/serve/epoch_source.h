@@ -1,11 +1,14 @@
-// Abstract multi-epoch serving source (docs/TIMETRAVEL.md).
+// Abstract epoch serving source (docs/TIMETRAVEL.md).
 //
-// The server's time-travel verbs (AT / HISTORY, plus the binary frame
-// epoch field) resolve epochs through this interface instead of a concrete
-// store, so sublet_serve stays below sublet_catalog in the link graph: the
-// catalog implements EpochSource on top of EngineState, and the CLI wires
-// the two together. Implementations must be safe to call from every shard
-// thread concurrently.
+// Every server holds exactly one source: a SnapshotFile
+// (serve/snapshot_file.h) serves one snapshot as the single epoch 0, and
+// the catalog serves a timestamped series. The time-travel verbs (AT /
+// HISTORY, plus the binary frame epoch field) and RELOAD go through this
+// interface instead of a concrete store, so sublet_serve stays below
+// sublet_catalog in the link graph: the catalog implements EpochSource on
+// top of EngineState, and the CLI wires the two together.
+// Implementations must be safe to call from every shard thread
+// concurrently.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,8 @@ class EpochSource {
  public:
   virtual ~EpochSource() = default;
 
-  /// All epoch timestamps, ascending. Never empty for a healthy source.
+  /// All epoch timestamps, ascending. Never empty for a healthy source;
+  /// {0} for a single snapshot.
   virtual std::vector<std::uint32_t> epochs() const = 0;
 
   /// Materialized state for the newest epoch whose timestamp is <= `at`
@@ -32,8 +36,9 @@ class EpochSource {
   virtual Expected<std::shared_ptr<const EngineState>> epoch_at(
       std::uint32_t at) = 0;
 
-  /// Re-scan the backing store for appended epochs and return the new
-  /// latest state. Failure leaves the currently-known epochs serving.
+  /// Re-scan the backing store (appended epochs, or a rewritten snapshot
+  /// file) and return the new latest state. Failure leaves the
+  /// currently-known epochs serving.
   virtual Expected<std::shared_ptr<const EngineState>> refresh() = 0;
 };
 

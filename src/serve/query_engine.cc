@@ -30,17 +30,13 @@ static_assert([] {
 
 }  // namespace
 
-Expected<QueryEngine> QueryEngine::create(const snapshot::Snapshot* snap) {
-  auto trie = snap->build_trie();
-  if (!trie) return trie.error();
-  return create(snap, std::move(*trie));
-}
-
 Expected<QueryEngine> QueryEngine::create(const snapshot::Snapshot* snap,
-                                          PrefixTrie<std::uint32_t> trie) {
+                                          TrieStride stride) {
+  auto trie = snap->build_trie(stride);
+  if (!trie) return trie.error();
   QueryEngine engine(
       snap, std::make_shared<const PrefixTrie<std::uint32_t>>(
-                std::move(trie)));
+                std::move(*trie)));
   for (std::size_t i = 0; i < snap->record_count(); ++i) {
     engine.tally(*snap, snap->record(i), +1);
   }
@@ -51,21 +47,22 @@ Expected<QueryEngine> QueryEngine::create(const snapshot::Snapshot* snap,
 Expected<QueryEngine> QueryEngine::create_patched(
     const snapshot::Snapshot* snap,
     std::shared_ptr<const PrefixTrie<std::uint32_t>> trie,
-    const QueryEngine& base, std::span<const std::uint32_t> surviving,
+    const QueryEngine& base,
+    std::optional<std::span<const std::uint32_t>> surviving,
     std::span<const std::uint32_t> patched) {
   QueryEngine engine(snap, std::move(trie));
   const snapshot::Snapshot& base_snap = base.snapshot();
   const std::size_t n = snap->record_count();
   const std::size_t base_n = base_snap.record_count();
-  const std::size_t kept = surviving.empty() ? base_n : surviving.size();
+  const std::size_t kept = surviving ? surviving->size() : base_n;
   if (kept > n) return fail("patched engine has fewer rows than survive");
   engine.agg_ = base.agg_;
   engine.origin_counts_ = base.origin_counts_;
-  if (!surviving.empty()) {
+  if (surviving) {
     // Subtract the rows the delta removed: the gaps between consecutive
     // surviving base rows (strictly increasing by construction).
     std::size_t next = 0;  // first base row not yet visited
-    for (std::uint32_t old : surviving) {
+    for (std::uint32_t old : *surviving) {
       if (old < next || old >= base_n) {
         return fail("surviving rows are not an increasing base subset");
       }
@@ -82,7 +79,7 @@ Expected<QueryEngine> QueryEngine::create_patched(
   // is patched twice.
   for (std::uint32_t i : patched) {
     if (i >= kept) continue;  // an appended row, added below
-    const std::uint32_t old = surviving.empty() ? i : surviving[i];
+    const std::uint32_t old = surviving ? (*surviving)[i] : i;
     engine.tally(base_snap, base_snap.record(old), -1);
     engine.tally(*snap, snap->record(i), +1);
   }

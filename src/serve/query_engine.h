@@ -37,38 +37,32 @@ class QueryEngine {
       PrefixTrie<std::uint32_t>::kNoEntry;
 
   /// Build from a loaded snapshot (adopts the trie arena, builds the
-  /// stride table and computes the STATS aggregate). The snapshot must
-  /// outlive the engine; Error if the trie section is corrupt.
-  static Expected<QueryEngine> create(const snapshot::Snapshot* snap);
+  /// stride table unless `stride` is kOff, and computes the STATS
+  /// aggregate). The snapshot must outlive the engine; Error if the trie
+  /// section is corrupt.
+  static Expected<QueryEngine> create(const snapshot::Snapshot* snap,
+                                      TrieStride stride = TrieStride::kBuild);
 
   /// Build from a snapshot plus a caller-built trie (leaf prefix -> record
-  /// index). The catalog's delta apply uses this: a parts snapshot carries
-  /// no trie arena, and the trie arrives patched from the base epoch
-  /// instead of adopted from a file. The trie is taken as-is — whether it
-  /// carries the stride table is the caller's time/memory trade-off.
-  static Expected<QueryEngine> create(const snapshot::Snapshot* snap,
-                                      PrefixTrie<std::uint32_t> trie);
-
-  /// Build from a snapshot plus a caller-built trie by PATCHING `base`'s
-  /// aggregate instead of recounting every row — the catalog's delta-apply
-  /// fast path, where almost every row is unchanged from the base epoch.
-  /// `surviving` maps each new row in [0, surviving.size()) to the base row
-  /// it was compacted from (pass an empty span when no rows were removed:
-  /// the base rows then keep their indices; a delta that removes every
-  /// base row has nothing to patch and builds with create()). `patched`
-  /// lists new row indices whose contents changed in place; rows beyond
-  /// the surviving region are appends. Removed and patched base rows are
-  /// subtracted (read from base.snapshot(), whose pools they index),
-  /// patched and appended new rows added, and the leaf-origin ranking
-  /// redone — O(changed rows), and field-for-field identical to a full
-  /// create() over the same snapshot. The trie arrives behind a
-  /// shared_ptr: an in-place-only delta leaves the base trie bit-identical
-  /// (structure, values, jump, stride), so the catalog shares it across
-  /// epochs instead of copying the arena.
+  /// index) by PATCHING `base`'s aggregate instead of recounting every row
+  /// — the catalog's delta-apply path: a parts snapshot has no trie arena,
+  /// and almost every row is unchanged from the base epoch. `surviving`
+  /// maps each new row in [0, surviving->size()) to the base row it was
+  /// compacted from; nullopt means no row was removed and the base rows
+  /// keep their indices. `patched` lists new row indices whose contents
+  /// changed in place; rows beyond the surviving region are appends.
+  /// Removed and patched base rows are subtracted (read from
+  /// base.snapshot(), whose pools they index), patched and appended new
+  /// rows added, and the leaf-origin ranking redone — O(changed rows), and
+  /// field-for-field identical to a full create() over the same snapshot.
+  /// The trie arrives behind a shared_ptr: an in-place-only delta leaves
+  /// the base trie bit-identical (structure, values, jump, stride), so the
+  /// catalog shares it across epochs instead of copying the arena.
   static Expected<QueryEngine> create_patched(
       const snapshot::Snapshot* snap,
       std::shared_ptr<const PrefixTrie<std::uint32_t>> trie,
-      const QueryEngine& base, std::span<const std::uint32_t> surviving,
+      const QueryEngine& base,
+      std::optional<std::span<const std::uint32_t>> surviving,
       std::span<const std::uint32_t> patched);
 
   /// Record stored exactly at `prefix`.

@@ -16,12 +16,14 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/flight.h"
 #include "serve/json.h"
+#include "serve/snapshot_file.h"
 #include "serve/wire.h"
 #include "util/faultinject.h"
 #include "util/log.h"
@@ -65,6 +67,18 @@ std::string error_json(std::string_view message) {
   json.key("error").value(message);
   json.end_object();
   return json.take();
+}
+
+/// The state answering `epoch` under `view`: its latest for 0, otherwise
+/// the source's as-of epoch, which `pin` keeps alive for the request.
+Expected<const EngineState*> resolve(const ServingView& view,
+                                     std::uint32_t epoch,
+                                     std::shared_ptr<const EngineState>& pin) {
+  if (epoch == 0) return view.latest.get();
+  auto found = view.source->epoch_at(epoch);
+  if (!found) return found.error();
+  pin = std::move(*found);
+  return pin.get();
 }
 
 /// Wait for `events` on `fd` for up to `timeout_ms`. Returns >0 ready,
@@ -593,7 +607,6 @@ bool QueryServer::Shard::finish_io(Conn& conn) {
     const std::size_t pending =
         (conn.out_front.size() - conn.out_off) + conn.out_back.size();
     if (pending > cap) {
-      srv->outbuf_overflow_.add(1);
       close_conn(conn, CloseReason::kOutbufOverflow);
       return false;
     }
@@ -658,7 +671,9 @@ bool QueryServer::Shard::process_frame(Conn& conn) {
         wire::append_header(conn.out_back, resp);
         break;
       }
-      auto resolved = srv->engine_for(header.epoch);
+      const std::shared_ptr<const ServingView> view = srv->view();
+      std::shared_ptr<const EngineState> pin;
+      auto resolved = resolve(*view, header.epoch, pin);
       if (!resolved) {
         // Body-level error: the stream is still framed, so the peer can
         // keep pipelining other epochs over the same connection.
@@ -673,8 +688,7 @@ bool QueryServer::Shard::process_frame(Conn& conn) {
       for (std::size_t i = 0; i < n; ++i) {
         addrs[i] = wire::load_u32le(payload + 4 * i);
       }
-      std::shared_ptr<const EngineState> state = std::move(*resolved);
-      const QueryEngine& engine = state->engine();
+      const QueryEngine& engine = (*resolved)->engine();
       engine.lookup_batch(addrs, records);
       srv->bin_lookups_.add(n);
       resp.status = wire::kOk;
@@ -721,15 +735,16 @@ bool QueryServer::Shard::process_frame(Conn& conn) {
         wire::append_header(conn.out_back, resp);
         break;
       }
-      auto resolved = srv->engine_for(header.epoch);
+      const std::shared_ptr<const ServingView> view = srv->view();
+      std::shared_ptr<const EngineState> pin;
+      auto resolved = resolve(*view, header.epoch, pin);
       if (!resolved) {
         srv->malformed_.add(1);
         resp.status = wire::kBadEpoch;
         wire::append_header(conn.out_back, resp);
         break;
       }
-      std::shared_ptr<const EngineState> state = std::move(*resolved);
-      const QueryEngine& engine = state->engine();
+      const QueryEngine& engine = (*resolved)->engine();
       srv->bin_lookups_.add(n);
       resp.status = wire::kOk;
       resp.payload_len = static_cast<std::uint32_t>(n * wire::kResultSize);
@@ -890,7 +905,6 @@ void QueryServer::Shard::expire_timers(steady_clock::time_point now) {
   while (Conn* conn = idle_timers.front()) {
     if (conn->idle_link.deadline > now) break;
     idle_timers.cancel(conn);
-    srv->timeouts_.add(1);
     // Best-effort farewell for text peers; a binary peer would read it as
     // a corrupt frame, so it just gets the close.
     if (!conn->seen_binary) conn->out_back += "{\"error\":\"idle timeout\"}\n";
@@ -900,7 +914,6 @@ void QueryServer::Shard::expire_timers(steady_clock::time_point now) {
   }
   while (Conn* conn = write_timers.front()) {
     if (conn->write_link.deadline > now) break;
-    srv->timeouts_.add(1);
     close_conn(*conn, CloseReason::kWriteTimeout);
   }
 }
@@ -962,10 +975,6 @@ void QueryServer::Shard::adopt_inbox() {
     }
     account(*conn);
   }
-  // A RELOAD wakeup lands here too: re-sample the generation gauge so
-  // scrapes right after a swap see the new generation.
-  srv->generation_gauge_.set(
-      static_cast<std::int64_t>(srv->engine()->generation()));
 }
 
 void QueryServer::Shard::apply_drain(bool force) {
@@ -1072,8 +1081,12 @@ void QueryServer::Shard::loop() {
 
 QueryServer::QueryServer(std::shared_ptr<const EngineState> engine,
                          Options options)
+    : QueryServer(std::make_shared<SnapshotFile>(engine), engine, options) {}
+
+QueryServer::QueryServer(std::shared_ptr<EpochSource> source,
+                         std::shared_ptr<const EngineState> initial,
+                         Options options)
     : options_(options),
-      engine_(std::move(engine)),
       requests_(registry_.counter("sublet_serve_requests_total",
                                   "Requests handled (all verbs)")),
       hits_(registry_.counter("sublet_serve_hits_total",
@@ -1082,10 +1095,6 @@ QueryServer::QueryServer(std::shared_ptr<const EngineState> engine,
                                 "EXACT/LPM lookups with no record")),
       malformed_(registry_.counter("sublet_serve_malformed_total",
                                    "Requests rejected as malformed")),
-      shed_(registry_.counter("sublet_serve_shed_total",
-                              "Connections refused at the concurrency cap")),
-      timeouts_(registry_.counter("sublet_serve_timeouts_total",
-                                  "Connections cut at an idle/write deadline")),
       accept_retries_(registry_.counter(
           "sublet_serve_accept_retries_total",
           "Transient accept() errors survived by the accept loop")),
@@ -1097,9 +1106,6 @@ QueryServer::QueryServer(std::shared_ptr<const EngineState> engine,
       reload_failures_(registry_.counter(
           "sublet_serve_reload_failures_total",
           "Rejected RELOADs (previous engine kept serving)")),
-      outbuf_overflow_(registry_.counter(
-          "sublet_serve_outbuf_overflow_total",
-          "Connections closed for exceeding the pending-output cap")),
       fair_yields_(registry_.counter(
           "sublet_serve_fair_yields_total",
           "Event-loop passes that stopped at the per-connection request "
@@ -1147,20 +1153,17 @@ QueryServer::QueryServer(std::shared_ptr<const EngineState> engine,
       closed_peer_(registry_.counter(
           obs::labeled("sublet_serve_conn_closed_total", "reason", "peer"))),
       closed_error_(registry_.counter(
-          obs::labeled("sublet_serve_conn_closed_total", "reason", "error"))) {}
-
-QueryServer::QueryServer(std::shared_ptr<EpochSource> source,
-                         std::shared_ptr<const EngineState> initial,
-                         Options options)
-    : QueryServer(std::move(initial), options) {
-  source_ = std::move(source);
+          obs::labeled("sublet_serve_conn_closed_total", "reason", "error"))) {
+  std::vector<std::uint32_t> epochs = source->epochs();
+  view_ = std::make_shared<const ServingView>(ServingView{
+      std::move(source), std::move(epochs), std::move(initial)});
 }
 
 QueryServer::~QueryServer() { stop(); }
 
-std::shared_ptr<const EngineState> QueryServer::engine() const {
+std::shared_ptr<const ServingView> QueryServer::view() const {
   std::lock_guard<std::mutex> lock(engine_mu_);
-  return engine_;
+  return view_;
 }
 
 obs::Histogram& QueryServer::verb_histogram(Verb verb) {
@@ -1200,15 +1203,6 @@ bool QueryServer::flight_recording() const {
   return flight_enabled_.load(std::memory_order_acquire);
 }
 
-Expected<std::shared_ptr<const EngineState>> QueryServer::engine_for(
-    std::uint32_t epoch) {
-  if (epoch == 0) return engine();
-  if (source_ == nullptr) {
-    return fail("epoch queries need a catalog-mode server");
-  }
-  return source_->epoch_at(epoch);
-}
-
 std::size_t QueryServer::connection_memory_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
@@ -1244,7 +1238,7 @@ Expected<std::uint16_t> QueryServer::start() {
   port_ = ntohs(addr.sin_port);
   start_time_ = steady_clock::now();
 
-  unsigned shards = options_.shards != 0 ? options_.shards : options_.threads;
+  unsigned shards = options_.shards;
   if (shards == 0) shards = std::max(1u, std::thread::hardware_concurrency());
   shard_count_ = shards;
   auto teardown = [this] {
@@ -1356,7 +1350,6 @@ void QueryServer::accept_loop() {
       // Shed instead of queueing unboundedly: one line, then close. The
       // fd stays blocking here — it never reaches a shard.
       live_conns_.fetch_sub(1, std::memory_order_acq_rel);
-      shed_.add(1);  // legacy name; the labeled family is the new home
       closed_shed_.add(1);
       send_with_deadline(fd, "{\"error\":\"overloaded\"}\n");
       ::close(fd);
@@ -1381,16 +1374,9 @@ bool QueryServer::send_with_deadline(int fd, std::string_view data) {
       auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
                            deadline - steady_clock::now())
                            .count();
-      if (remaining <= 0) {
-        timeouts_.add(1);
-        return false;
-      }
+      if (remaining <= 0) return false;
       int ready = wait_fd(fd, POLLOUT, static_cast<int>(remaining));
-      if (ready == 0) {
-        timeouts_.add(1);
-        return false;
-      }
-      if (ready < 0) return false;
+      if (ready <= 0) return false;
     }
     int injected = 0;
     ssize_t n;
@@ -1409,64 +1395,50 @@ bool QueryServer::send_with_deadline(int fd, std::string_view data) {
   return true;
 }
 
-Expected<std::uint64_t> QueryServer::reload(const std::string& path) {
-  // One RELOAD at a time; the load + validation runs here, off the other
-  // shards' hot path — they keep answering from the current engine.
+Expected<std::shared_ptr<const ServingView>> QueryServer::reload(
+    const std::string& path) {
   std::lock_guard<std::mutex> reload_lock(reload_mu_);
-  const std::uint64_t next_generation = engine()->generation() + 1;
-  auto next = EngineState::load(path, options_.reload_mode, next_generation);
-  if (!next) {
+  return publish(std::make_shared<SnapshotFile>(
+      path, view()->latest->generation()));
+}
+
+Expected<std::shared_ptr<const ServingView>> QueryServer::publish(
+    std::shared_ptr<EpochSource> source) {
+  // The load + validation runs here, off the shards' hot path — they keep
+  // answering from the current view, which a failure leaves untouched.
+  auto latest = source->refresh();
+  if (!latest) {
     reload_failures_.add(1);
-    SUBLET_LOG(kWarn) << "reload of " << path
-                      << " rejected: " << next.error().to_string()
+    SUBLET_LOG(kWarn) << "reload rejected: " << latest.error().to_string()
                       << " (keeping generation "
-                      << next_generation - 1 << ")";
-    return next.error();
+                      << view()->latest->generation() << ")";
+    return latest.error();
   }
+  std::vector<std::uint32_t> epochs = source->epochs();
+  auto next = std::make_shared<const ServingView>(ServingView{
+      std::move(source), std::move(epochs), std::move(*latest)});
   {
     std::lock_guard<std::mutex> lock(engine_mu_);
-    engine_ = std::move(*next);
+    view_ = next;
   }
+  // Shards hold no view between requests (one shared_ptr acquire per
+  // request) and METRICS samples the generation gauge at scrape time, so
+  // the swap needs no shard wakeup.
   reloads_.add(1);
-  // Shards hold no engine references between requests (one shared_ptr
-  // acquire per request), so the wakeup just refreshes their gauges.
-  wake_all_shards();
-  SUBLET_LOG(kInfo) << "reloaded generation " << next_generation << " from "
-                    << path;
-  return next_generation;
+  SUBLET_LOG(kInfo) << "reloaded generation " << next->latest->generation()
+                    << " from " << next->latest->path() << " ("
+                    << next->epochs.size() << " epochs)";
+  return next;
 }
 
-Expected<std::uint64_t> QueryServer::refresh_catalog() {
-  // Catalog-mode RELOAD: re-scan the index for appended epochs and swap
-  // the latest in. Same failure contract as a snapshot RELOAD — a broken
-  // index or chain keeps every currently-served epoch untouched.
-  std::lock_guard<std::mutex> reload_lock(reload_mu_);
-  auto next = source_->refresh();
-  if (!next) {
-    reload_failures_.add(1);
-    SUBLET_LOG(kWarn) << "catalog refresh rejected: "
-                      << next.error().to_string()
-                      << " (keeping current epochs)";
-    return next.error();
-  }
-  const std::uint64_t generation = (*next)->generation();
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    engine_ = std::move(*next);
-  }
-  reloads_.add(1);
-  wake_all_shards();
-  SUBLET_LOG(kInfo) << "catalog refreshed; serving epoch generation "
-                    << generation;
-  return generation;
-}
-
-std::string QueryServer::history_json(const Prefix& query) {
+std::string QueryServer::history_json(const ServingView& view,
+                                      const Prefix& query) {
   // Replay the classification of `query` across every epoch, oldest
   // first, and coalesce runs of identical answers into segments. One
   // longest-match per epoch; epochs whose chain fails to materialize are
   // listed under "unavailable" rather than failing the whole replay.
-  std::vector<std::uint32_t> epochs = source_->epochs();
+  // A single snapshot is the one epoch 0, so it answers one segment.
+  std::span<const std::uint32_t> epochs = view.epochs;
   // Bound the replay cost: one request walks at most max_history_epochs
   // recent epochs (each one is a materialize + longest_match), so a
   // thousand-epoch catalog cannot turn a single HISTORY line into an
@@ -1476,8 +1448,7 @@ std::string QueryServer::history_json(const Prefix& query) {
   if (const std::size_t cap = options_.max_history_epochs;
       cap > 0 && epochs.size() > cap) {
     truncated = epochs.size() - cap;
-    epochs.erase(epochs.begin(),
-                 epochs.begin() + static_cast<std::ptrdiff_t>(truncated));
+    epochs = epochs.subspan(truncated);
   }
   struct Answer {
     bool found = false;
@@ -1492,17 +1463,18 @@ std::string QueryServer::history_json(const Prefix& query) {
   std::vector<Segment> segments;
   std::vector<std::uint32_t> unavailable;
   for (std::uint32_t epoch : epochs) {
-    auto resolved = source_->epoch_at(epoch);
+    std::shared_ptr<const EngineState> pin;
+    auto resolved = resolve(view, epoch, pin);
     if (!resolved) {
       unavailable.push_back(epoch);
       continue;
     }
-    const std::shared_ptr<const EngineState> state = std::move(*resolved);
+    const EngineState& state = **resolved;
     Answer answer;
-    if (auto hit = state->engine().longest_match(query)) {
-      const snapshot::RecordRow& row = state->snapshot().record(hit->second);
+    if (auto hit = state.engine().longest_match(query)) {
+      const snapshot::RecordRow& row = state.snapshot().record(hit->second);
       answer.found = true;
-      answer.prefix = state->snapshot().prefix_of(row).to_string();
+      answer.prefix = state.snapshot().prefix_of(row).to_string();
       answer.group = row.group;
     }
     if (!segments.empty() && segments.back().answer.found == answer.found &&
@@ -1555,7 +1527,8 @@ std::string QueryServer::history_json(const Prefix& query) {
 }
 
 std::string QueryServer::health_json() const {
-  std::shared_ptr<const EngineState> state = engine();
+  const std::shared_ptr<const ServingView> view = this->view();
+  const EngineState* state = view->latest.get();
   const double uptime =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           steady_clock::now() - start_time_)
@@ -1617,7 +1590,7 @@ std::string QueryServer::inspect_json() {
   JsonWriter json;
   json.begin_object();
   json.key("ok").value(true);
-  json.key("generation").value(engine()->generation());
+  json.key("generation").value(view()->latest->generation());
   json.key("shard_count").value(static_cast<std::uint64_t>(shard_count_));
   json.key("active_conns").value(
       static_cast<std::uint64_t>(active_connections()));
@@ -1750,26 +1723,28 @@ std::string QueryServer::handle_request(std::string_view line,
     return static_cast<std::uint32_t>(v);
   };
   if (iequals(verb, "STATS") && parts.size() == 1) {
-    response = stats().to_json();
+    // Counters, aggregate and epoch range all come from one view, so a
+    // concurrent RELOAD can never pair one epoch range with another
+    // epoch's aggregate.
+    const std::shared_ptr<const ServingView> view = this->view();
+    response = stats(*view).to_json();
     // Splice in the engine-level aggregate + memory breakdown as a
-    // trailing "snapshot" object. The counter fields stay first and
-    // unchanged so existing scrapers' substring checks keep passing.
-    const std::string snap_json = engine()->engine().snapshot_stats_json();
+    // trailing "snapshot" object, then the epoch range. The counter
+    // fields stay first and unchanged so existing scrapers' substring
+    // checks keep passing.
+    const std::string snap_json =
+        view->latest->engine().snapshot_stats_json();
     response.insert(response.size() - 1, ",\"snapshot\":" + snap_json);
-    if (catalog_mode()) {
-      // Catalog mode only: the single-snapshot response shape is pinned
-      // byte-identical by the differential suite.
-      const std::vector<std::uint32_t> epochs = source_->epochs();
-      JsonWriter ej;
-      ej.begin_object();
-      ej.key("count").value(static_cast<std::uint64_t>(epochs.size()));
-      if (!epochs.empty()) {
-        ej.key("first").value(static_cast<std::uint64_t>(epochs.front()));
-        ej.key("last").value(static_cast<std::uint64_t>(epochs.back()));
-      }
-      ej.end_object();
-      response.insert(response.size() - 1, ",\"epochs\":" + ej.take());
+    JsonWriter ej;
+    ej.begin_object();
+    ej.key("count").value(static_cast<std::uint64_t>(view->epochs.size()));
+    if (!view->epochs.empty()) {
+      ej.key("first").value(
+          static_cast<std::uint64_t>(view->epochs.front()));
+      ej.key("last").value(static_cast<std::uint64_t>(view->epochs.back()));
     }
+    ej.end_object();
+    response.insert(response.size() - 1, ",\"epochs\":" + ej.take());
   } else if (iequals(verb, "METRICS") && parts.size() == 1) {
     // The one multi-line response in the protocol; metrics_text() ends
     // with a "# EOF" line so clients know where the body stops.
@@ -1778,23 +1753,27 @@ std::string QueryServer::handle_request(std::string_view line,
     response = health_json();
   } else if (iequals(verb, "INSPECT") && parts.size() == 1) {
     response = inspect_json();
-  } else if (iequals(verb, "RELOAD") &&
-             (catalog_mode() ? parts.size() == 1 : parts.size() == 2)) {
-    // Single-snapshot mode reloads from an explicit path; catalog mode
-    // re-scans the catalog directory for appended epochs (bare RELOAD).
-    auto swapped = catalog_mode() ? refresh_catalog()
-                                  : reload(std::string(parts[1]));
+  } else if (iequals(verb, "RELOAD") && parts.size() <= 2) {
+    // Bare RELOAD refreshes the current source (re-reads the snapshot
+    // file, or re-scans the catalog for appended epochs); RELOAD <path>
+    // swaps to that snapshot file.
+    Expected<std::shared_ptr<const ServingView>> swapped =
+        fail("unreachable");
+    if (parts.size() == 2) {
+      swapped = reload(std::string(parts[1]));
+    } else {
+      std::lock_guard<std::mutex> reload_lock(reload_mu_);
+      swapped = publish(view()->source);
+    }
     if (swapped) {
+      const ServingView& next = **swapped;
       JsonWriter json;
       json.begin_object();
       json.key("ok").value(true);
-      json.key("generation").value(*swapped);
+      json.key("generation").value(next.latest->generation());
       json.key("records").value(
-          static_cast<std::uint64_t>(engine()->snapshot().record_count()));
-      if (catalog_mode()) {
-        json.key("epochs").value(
-            static_cast<std::uint64_t>(source_->epochs().size()));
-      }
+          static_cast<std::uint64_t>(next.latest->snapshot().record_count()));
+      json.key("epochs").value(static_cast<std::uint64_t>(next.epochs.size()));
       json.end_object();
       response = json.take();
     } else {
@@ -1837,7 +1816,8 @@ std::string QueryServer::handle_request(std::string_view line,
         malformed_.add(1);
         response = error_json("bad address '" + std::string(bad) + "'");
       } else {
-        std::shared_ptr<const EngineState> state = engine();
+        const std::shared_ptr<const ServingView> view = this->view();
+        const EngineState* state = view->latest.get();
         records.resize(addrs.size());
         state->engine().lookup_batch(addrs, records);
         JsonWriter json;
@@ -1891,15 +1871,17 @@ std::string QueryServer::handle_request(std::string_view line,
           error_json("bad epoch timestamp '" + std::string(parts[3]) + "'");
     } else {
       // One shared_ptr acquire per request: a concurrent RELOAD swap can
-      // retire the old state only after this request drops its reference.
+      // retire the old view only after this request drops its reference.
       if (flight != nullptr && at_query) flight->epoch = *at;
-      auto resolved = engine_for(at_query ? *at : 0);
+      const std::shared_ptr<const ServingView> view = this->view();
+      std::shared_ptr<const EngineState> pin;
+      auto resolved = resolve(*view, at_query ? *at : 0, pin);
       if (!resolved) {
         malformed_.add(1);
         response = error_json("AT " + std::to_string(*at) + ": " +
                               resolved.error().to_string());
       } else {
-        std::shared_ptr<const EngineState> state = std::move(*resolved);
+        const EngineState* state = *resolved;
         std::optional<std::uint32_t> idx;
         if (iequals(verb, "EXACT")) {
           idx = state->engine().exact(*query);
@@ -1928,18 +1910,12 @@ std::string QueryServer::handle_request(std::string_view line,
     }
   } else if (iequals(verb, "HISTORY") && parts.size() == 2) {
     verb_class = Verb::kHistory;
-    if (!catalog_mode()) {
+    std::optional<Prefix> query = parse_query(parts[1]);
+    if (!query) {
       malformed_.add(1);
-      response =
-          error_json("HISTORY needs a catalog-mode server (serve --catalog)");
+      response = error_json("bad prefix '" + std::string(parts[1]) + "'");
     } else {
-      std::optional<Prefix> query = parse_query(parts[1]);
-      if (!query) {
-        malformed_.add(1);
-        response = error_json("bad prefix '" + std::string(parts[1]) + "'");
-      } else {
-        response = history_json(*query);
-      }
+      response = history_json(*view(), *query);
     }
   } else {
     malformed_.add(1);
@@ -1961,18 +1937,20 @@ std::string QueryServer::handle_request(std::string_view line,
   return response;
 }
 
-StatsSnapshot QueryServer::stats() const {
+StatsSnapshot QueryServer::stats() const { return stats(*view()); }
+
+StatsSnapshot QueryServer::stats(const ServingView& view) const {
   StatsSnapshot out;
   out.requests = requests_.value();
   out.hits = hits_.value();
   out.misses = misses_.value();
   out.malformed = malformed_.value();
-  out.shed = shed_.value();
-  out.timeouts = timeouts_.value();
+  out.shed = closed_shed_.value();
+  out.timeouts = closed_idle_.value() + closed_write_.value();
   out.accept_retries = accept_retries_.value();
   out.reloads = reloads_.value();
   out.reload_failures = reload_failures_.value();
-  out.generation = engine()->generation();
+  out.generation = view.latest->generation();
   // Merge every per-verb latency series bucket-by-bucket, then apply the
   // registry histogram's exact quantile math: every request is recorded in
   // exactly one verb series, so the merge equals the old single histogram
@@ -1998,7 +1976,8 @@ StatsSnapshot QueryServer::stats() const {
 
 std::string QueryServer::metrics_text() const {
   // Gauges are sampled, not event-driven: refresh them at scrape time.
-  generation_gauge_.set(static_cast<std::int64_t>(engine()->generation()));
+  generation_gauge_.set(
+      static_cast<std::int64_t>(view()->latest->generation()));
   active_conns_gauge_.set(
       static_cast<std::int64_t>(active_connections()));
   std::string out = obs::MetricsRegistry::global().prometheus_text();

@@ -7,8 +7,8 @@
 //  - text: newline-delimited verbs, one single-line JSON response each
 //    (EXACT / LPM / MLPM / STATS / HEALTH / METRICS / RELOAD / SHUTDOWN —
 //    byte-identical to the pre-epoll server, pinned by a differential
-//    test — plus, in catalog mode, an `AT <epoch-ts>` qualifier on
-//    EXACT/LPM and a HISTORY verb, docs/TIMETRAVEL.md);
+//    test — plus an `AT <epoch-ts>` qualifier on EXACT/LPM and a HISTORY
+//    verb answered from the server's epoch source, docs/TIMETRAVEL.md);
 //  - binary: length-prefixed frames (serve/wire.h) whose magic byte 0xB5
 //    can never open a text verb. One frame carries a batch of raw u32
 //    addresses answered straight off QueryEngine::lookup_batch into the
@@ -17,7 +17,7 @@
 //
 // Concurrency model: an accept thread plus `--shards N` event-loop threads
 // (default: hardware concurrency). Each shard owns an epoll fd, an eventfd
-// for cross-thread wakeup (reload / drain / stop), and the full state of
+// for cross-thread wakeup (handover / drain / stop), and the full state of
 // the connections the accept thread round-robins to it — non-blocking fds,
 // per-connection read/write state machines, and two intrusive timer lists
 // (idle and write deadlines; timeouts are per-server constants, so arming
@@ -27,10 +27,12 @@
 // needs no locks.
 //
 // Fault tolerance (all PR-4 semantics survive the rewrite):
-//  - the serving state (snapshot + engine) lives behind an RCU-style
-//    shared_ptr; RELOAD validates the new snapshot off the hot path and
-//    swaps atomically — in-flight queries finish on the old engine and a
-//    failed load keeps the old generation serving;
+//  - the serving state lives in one immutable ServingView (epoch source,
+//    its epoch list, latest snapshot + engine) behind an RCU-style
+//    shared_ptr; every request reads exactly one view, RELOAD validates
+//    the new state off the hot path and swaps the view atomically —
+//    in-flight queries finish on the old engine and a failed load keeps
+//    the old generation serving;
 //  - per-connection idle/write deadlines disconnect slow-loris peers;
 //  - a max-concurrent-connections cap sheds load with a one-line
 //    {"error":"overloaded"} response instead of queueing unboundedly;
@@ -69,8 +71,8 @@ struct StatsSnapshot {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t malformed = 0;
-  std::uint64_t shed = 0;            ///< connections refused at the cap
-  std::uint64_t timeouts = 0;        ///< connections cut at a deadline
+  std::uint64_t shed = 0;      ///< conn_closed_total{reason="shed"}
+  std::uint64_t timeouts = 0;  ///< {reason="idle_timeout"} + {"write_timeout"}
   std::uint64_t accept_retries = 0;  ///< transient accept() errors survived
   std::uint64_t reloads = 0;         ///< successful hot swaps
   std::uint64_t reload_failures = 0; ///< rejected RELOADs (old state kept)
@@ -81,15 +83,20 @@ struct StatsSnapshot {
   std::string to_json() const;
 };
 
+/// Everything a request reads, published together so no answer mixes two
+/// RELOADs: the epoch source, its epoch list, and its latest state.
+struct ServingView {
+  std::shared_ptr<EpochSource> source;
+  std::vector<std::uint32_t> epochs;  ///< ascending; {0} for one snapshot
+  std::shared_ptr<const EngineState> latest;
+};
+
 class QueryServer {
  public:
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    /// Event-loop shards (one epoll thread each); 0 = default.
+    /// Event-loop shards (one epoll thread each); 0 = all cores.
     unsigned shards = 0;
-    /// Legacy alias for `shards` (the pre-epoll server's handler-thread
-    /// knob); used only when `shards` is 0.
-    unsigned threads = 0;
     /// Max concurrently accepted connections; one over the cap is answered
     /// {"error":"overloaded"} and closed. 0 = unlimited (legacy).
     unsigned max_conns = 256;
@@ -106,15 +113,14 @@ class QueryServer {
     /// that pipelines requests but stops reading the responses — the
     /// slow-reader attack the soak harness replays — would otherwise grow
     /// the output buffer without bound; over the cap the connection is
-    /// closed and counted in sublet_serve_outbuf_overflow_total.
+    /// closed and counted in
+    /// sublet_serve_conn_closed_total{reason="outbuf_overflow"}.
     /// 0 = unlimited.
     std::size_t max_outbuf_bytes = 8u << 20;
     /// Most recent epochs a single HISTORY request will replay; older
     /// epochs are summarized in the response's "truncated_epochs" count so
     /// one request can never walk an unbounded catalog. 0 = no cap.
     std::size_t max_history_epochs = 64;
-    /// Snapshot load mode used by RELOAD.
-    snapshot::Snapshot::Mode reload_mode = snapshot::Snapshot::Mode::kMap;
     /// Flight recorder (docs/OBSERVABILITY.md): per-shard ring of recent
     /// request records with a read→parse→engine→write stage breakdown,
     /// dumped by the INSPECT verb. 0 disables recording entirely.
@@ -125,13 +131,14 @@ class QueryServer {
     std::uint64_t slow_threshold_us = 1000;
   };
 
+  /// Serve one snapshot: `engine` becomes the single epoch of a
+  /// SnapshotFile source, so bare RELOAD re-reads engine->path().
   QueryServer(std::shared_ptr<const EngineState> engine, Options options);
   explicit QueryServer(std::shared_ptr<const EngineState> engine)
       : QueryServer(std::move(engine), Options{}) {}
-  /// Catalog (time-travel) mode: `initial` is the already-materialized
-  /// latest epoch, `source` resolves AT / HISTORY / binary-frame epochs.
-  /// RELOAD becomes "re-scan the catalog for appended epochs"
-  /// (docs/TIMETRAVEL.md).
+  /// Serve `source` (e.g. a catalog, docs/TIMETRAVEL.md): `initial` is its
+  /// already-materialized latest epoch; AT / HISTORY / binary-frame epochs
+  /// resolve through it and bare RELOAD publishes source->refresh().
   QueryServer(std::shared_ptr<EpochSource> source,
               std::shared_ptr<const EngineState> initial, Options options);
   ~QueryServer();
@@ -150,24 +157,12 @@ class QueryServer {
   /// Event-loop shards actually running (resolved from Options).
   unsigned shard_count() const { return shard_count_; }
 
-  /// The current serving generation. Request handlers grab one shared_ptr
-  /// per request, so a concurrent RELOAD never invalidates what they read.
-  std::shared_ptr<const EngineState> engine() const;
-
-  /// True when this server resolves epochs through an EpochSource.
-  bool catalog_mode() const { return source_ != nullptr; }
-
-  /// Serving state for `epoch` (0 = the current engine). Epochs other
-  /// than 0 require catalog mode; failures never disturb what is being
-  /// served.
-  Expected<std::shared_ptr<const EngineState>> engine_for(
-      std::uint32_t epoch);
-
-  /// Load + fully validate the snapshot at `path` off the hot path, then
-  /// atomically swap it in. Returns the new generation number, or an Error
-  /// — in which case the previous engine keeps serving untouched. Serialized:
-  /// concurrent RELOADs run one at a time.
-  Expected<std::uint64_t> reload(const std::string& path);
+  /// RELOAD <path>: load + fully validate the snapshot at `path` off the
+  /// hot path, then atomically publish it as a one-epoch source. Returns
+  /// the published view, or an Error — in which case the previous view
+  /// keeps serving untouched. Concurrent RELOADs run one at a time.
+  Expected<std::shared_ptr<const ServingView>> reload(
+      const std::string& path);
 
   /// One-line JSON for the HEALTH verb (also usable without a socket).
   std::string health_json() const;
@@ -250,9 +245,7 @@ class QueryServer {
   obs::Histogram& verb_histogram(Verb verb);
 
   /// Why an accepted connection ended — one label value each in the
-  /// sublet_serve_conn_closed_total counter family. The legacy scattered
-  /// counters (timeouts, outbuf_overflow, shed) stay incremented as
-  /// aliases for one release (docs/OBSERVABILITY.md).
+  /// sublet_serve_conn_closed_total counter family.
   enum class CloseReason {
     kIdleTimeout,
     kWriteTimeout,
@@ -278,10 +271,16 @@ class QueryServer {
   };
   std::string handle_request(std::string_view line, RequestFlight* flight);
 
-  /// Refresh the catalog (RELOAD in catalog mode) and swap in the new
-  /// latest epoch. Returns its generation.
-  Expected<std::uint64_t> refresh_catalog();
-  std::string history_json(const Prefix& query);
+  /// The current view: one shared_ptr acquire under engine_mu_. Each
+  /// request reads one, so a concurrent RELOAD never invalidates it.
+  std::shared_ptr<const ServingView> view() const;
+  /// Refresh `source` and publish it with its new latest state as the
+  /// current view. Caller holds reload_mu_. Failure counts a rejected
+  /// RELOAD and leaves the current view serving.
+  Expected<std::shared_ptr<const ServingView>> publish(
+      std::shared_ptr<EpochSource> source);
+  StatsSnapshot stats(const ServingView& view) const;
+  std::string history_json(const ServingView& view, const Prefix& query);
 
   Options options_;
   unsigned shard_count_ = 1;
@@ -292,9 +291,8 @@ class QueryServer {
   std::chrono::steady_clock::time_point start_time_;
 
   mutable std::mutex engine_mu_;
-  std::shared_ptr<const EngineState> engine_;
+  std::shared_ptr<const ServingView> view_;  ///< guarded by engine_mu_
   std::mutex reload_mu_;  ///< serializes RELOADs (not the swap itself)
-  std::shared_ptr<EpochSource> source_;  ///< null = single-snapshot mode
 
   std::atomic<bool> stop_{false};   ///< SHUTDOWN seen / stop() began
   std::atomic<bool> drain_{false};  ///< shards: flush + close, no new reads
@@ -315,13 +313,10 @@ class QueryServer {
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& malformed_;
-  obs::Counter& shed_;
-  obs::Counter& timeouts_;
   obs::Counter& accept_retries_;
   obs::Counter& epoll_retries_;
   obs::Counter& reloads_;
   obs::Counter& reload_failures_;
-  obs::Counter& outbuf_overflow_;
   obs::Counter& fair_yields_;
   obs::Counter& bin_frames_;
   obs::Counter& bin_lookups_;

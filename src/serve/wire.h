@@ -81,7 +81,7 @@ struct FrameHeader {
   std::uint16_t reserved = 0;
   std::uint32_t request_id = 0;
   std::uint32_t payload_len = 0;
-  std::uint32_t epoch = 0;  ///< 0 = latest epoch (or single-snapshot mode)
+  std::uint32_t epoch = 0;  ///< 0 = latest epoch (a snapshot server's only one)
 };
 
 /// One per-address answer. `prefix_len == kMissLen` means no covering

@@ -75,7 +75,7 @@ class Snapshot {
   /// monotone) — upheld by construction when the parts are a merge of
   /// individually validated snapshots and deltas (src/catalog/). A parts
   /// snapshot has no trie sections: pair it with a caller-built trie via
-  /// QueryEngine::create(snap, trie).
+  /// QueryEngine::create_patched.
   static Snapshot from_parts(OwnedParts parts);
 
   std::size_t record_count() const { return records_.size(); }

@@ -138,7 +138,7 @@ TEST_F(FaultE2E, ReadFaultKillsOneConnectionNotTheServer) {
   auto state = serve::EngineState::load(path_);
   ASSERT_TRUE(state) << state.error().to_string();
   serve::QueryServer server(
-      *state, serve::QueryServer::Options{.port = 0, .threads = 2});
+      *state, serve::QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   {
@@ -161,7 +161,7 @@ TEST_F(FaultE2E, WriteFaultKillsOneConnectionNotTheServer) {
   auto state = serve::EngineState::load(path_);
   ASSERT_TRUE(state) << state.error().to_string();
   serve::QueryServer server(
-      *state, serve::QueryServer::Options{.port = 0, .threads = 2});
+      *state, serve::QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   {

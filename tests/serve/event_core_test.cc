@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/engine_state.h"
 #include "serve/server.h"
@@ -598,6 +599,47 @@ TEST(ServeFairness, PipelineFloodCannotStarveTheShard) {
   auto metrics = client->request_multiline("METRICS");
   ASSERT_TRUE(metrics) << metrics.error().to_string();
   EXPECT_GE(scrape_counter(*metrics, "sublet_serve_fair_yields_total"), 1u);
+  server.stop();
+}
+
+// --- backpressure: a reader that never reads is cut at the output cap ---
+
+TEST(ServeBackpressure, SlowReaderIsClosedAtTheOutputCap) {
+  QueryServer server(memory_state(),
+                     QueryServer::Options{.port = 0,
+                                          .shards = 1,
+                                          .max_outbuf_bytes = 64u << 10});
+  auto started = server.start();
+  ASSERT_TRUE(started) << started.error().to_string();
+
+  // ~20 MB of pipelined STATS answers (about 1 KB each), far past both the
+  // cap and what the kernel socket buffers hold, and never a byte read
+  // back. The send may fail part-way: the server cuts the connection.
+  auto reader = RawConn::open(*started);
+  ASSERT_TRUE(reader.has_value());
+  std::string burst;
+  for (int i = 0; i < 20000; ++i) burst += "STATS\n";
+  reader->send_all(burst);
+
+  const std::string overflow = obs::labeled("sublet_serve_conn_closed_total",
+                                            "reason", "outbuf_overflow");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scrape_counter(server.metrics_text(), overflow) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(scrape_counter(server.metrics_text(), overflow), 1u);
+
+  // The connection is gone: what the kernel had buffered drains, then
+  // EOF or a reset — never a stall.
+  char buf[65536];
+  ssize_t n = 1;
+  while (n > 0) {
+    pollfd pfd{reader->fd, POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 10000), 0) << "connection was not closed";
+    n = ::recv(reader->fd, buf, sizeof(buf), 0);
+  }
   server.stop();
 }
 

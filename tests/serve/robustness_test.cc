@@ -133,7 +133,7 @@ struct RawConn {
 TEST(ServeDeadlines, SlowLorisIsCutWhileOthersAreServed) {
   QueryServer server(memory_state("A"),
                      QueryServer::Options{.port = 0,
-                                          .threads = 4,
+                                          .shards = 4,
                                           .idle_timeout_ms = 200});
   auto port = server.start();
   ASSERT_TRUE(port) << port.error().to_string();
@@ -166,7 +166,7 @@ TEST(ServeDeadlines, SlowLorisIsCutWhileOthersAreServed) {
 TEST(ServeShedding, ConnectionsOverTheCapGetOneLineAndClose) {
   QueryServer server(
       memory_state("A"),
-      QueryServer::Options{.port = 0, .threads = 4, .max_conns = 2});
+      QueryServer::Options{.port = 0, .shards = 4, .max_conns = 2});
   auto port = server.start();
   ASSERT_TRUE(port) << port.error().to_string();
 
@@ -204,7 +204,7 @@ TEST(ServeReload, SwapServesTheNewGeneration) {
   std::string path_b = temp_snapshot("swap_b", "NEW");
   auto state = EngineState::load(path_a);
   ASSERT_TRUE(state) << state.error().to_string();
-  QueryServer server(*state, QueryServer::Options{.port = 0, .threads = 2});
+  QueryServer server(*state, QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   auto client = QueryClient::connect("127.0.0.1", *port);
@@ -272,7 +272,7 @@ TEST(ServeReload, HammerDuringSwapZeroFailures) {
   // Connections are thread-per-connection: 8 hammers + 1 control client
   // need headroom, hence 12 handler threads.
   QueryServer server(*state,
-                     QueryServer::Options{.port = 0, .threads = 12});
+                     QueryServer::Options{.port = 0, .shards = 12});
   auto port = server.start();
   ASSERT_TRUE(port);
 
@@ -349,7 +349,7 @@ TEST(ServeHealth, ReportsGenerationUptimeAndDrainState) {
 TEST(ServeAccept, RecoversFromTransientAcceptErrors) {
   if (!fault::enabled()) GTEST_SKIP() << "fault injection compiled out";
   QueryServer server(memory_state("A"),
-                     QueryServer::Options{.port = 0, .threads = 2});
+                     QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   std::uint64_t trips = 0;
@@ -411,7 +411,7 @@ TEST(ServeClient, RequestTimesOutOnStalledServer) {
 TEST(ServeClient, RetryPolicySurvivesTransientConnectFailures) {
   if (!fault::enabled()) GTEST_SKIP() << "fault injection compiled out";
   QueryServer server(memory_state("A"),
-                     QueryServer::Options{.port = 0, .threads = 2});
+                     QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   std::uint64_t trips = 0;
@@ -447,7 +447,7 @@ TEST(ServeClient, RetryPolicySurvivesTransientConnectFailures) {
 TEST(ServeClient, MultilineRetryHelperSurvivesTransientConnectFailures) {
   if (!fault::enabled()) GTEST_SKIP() << "fault injection compiled out";
   QueryServer server(memory_state("A"),
-                     QueryServer::Options{.port = 0, .threads = 2});
+                     QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   {
@@ -467,7 +467,7 @@ TEST(ServeClient, MultilineRetryHelperSurvivesTransientConnectFailures) {
 TEST(ServeClient, BinaryBatchRetryHelperSurvivesTransientConnectFailures) {
   if (!fault::enabled()) GTEST_SKIP() << "fault injection compiled out";
   QueryServer server(memory_state("A"),
-                     QueryServer::Options{.port = 0, .threads = 2});
+                     QueryServer::Options{.port = 0, .shards = 2});
   auto port = server.start();
   ASSERT_TRUE(port);
   const std::vector<std::uint32_t> addrs = {(10u << 24) | 1u};

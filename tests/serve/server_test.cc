@@ -230,8 +230,12 @@ TEST(ServeStatsDifferential, StatsJsonDerivesFromRegistry) {
   EXPECT_EQ(stats.hits, counter("sublet_serve_hits_total"));
   EXPECT_EQ(stats.misses, counter("sublet_serve_misses_total"));
   EXPECT_EQ(stats.malformed, counter("sublet_serve_malformed_total"));
-  EXPECT_EQ(stats.shed, counter("sublet_serve_shed_total"));
-  EXPECT_EQ(stats.timeouts, counter("sublet_serve_timeouts_total"));
+  auto closed = [&](const char* reason) {
+    return counter(obs::labeled("sublet_serve_conn_closed_total", "reason",
+                                reason));
+  };
+  EXPECT_EQ(stats.shed, closed("shed"));
+  EXPECT_EQ(stats.timeouts, closed("idle_timeout") + closed("write_timeout"));
   EXPECT_EQ(stats.accept_retries,
             counter("sublet_serve_accept_retries_total"));
   EXPECT_EQ(stats.reloads, counter("sublet_serve_reloads_total"));
@@ -358,8 +362,8 @@ void hammer(std::uint16_t port, const QueryEngine& engine, int rounds,
 }
 
 TEST(ServeConcurrency, ManyClientsOneSnapshot) {
-  for (unsigned threads : {1u, 8u}) {
-    Rig rig(sample(), QueryServer::Options{.port = 0, .threads = threads});
+  for (unsigned shards : {1u, 8u}) {
+    Rig rig(sample(), QueryServer::Options{.port = 0, .shards = shards});
     auto port = rig.server->start();
     ASSERT_TRUE(port) << port.error().to_string();
     std::atomic<int> failures{0};
@@ -369,7 +373,7 @@ TEST(ServeConcurrency, ManyClientsOneSnapshot) {
           [&, c] { hammer(*port, *rig.engine, 50 + c, failures); });
     }
     for (auto& t : clients) t.join();
-    EXPECT_EQ(failures.load(), 0) << "server threads=" << threads;
+    EXPECT_EQ(failures.load(), 0) << "server shards=" << shards;
     StatsSnapshot stats = rig.server->stats();
     EXPECT_GE(stats.requests, 8u * 50u);
     EXPECT_EQ(stats.requests, stats.hits);
@@ -378,7 +382,7 @@ TEST(ServeConcurrency, ManyClientsOneSnapshot) {
 }
 
 TEST(ServeConcurrency, StopWithClientsConnected) {
-  Rig rig(sample(), QueryServer::Options{.port = 0, .threads = 4});
+  Rig rig(sample(), QueryServer::Options{.port = 0, .shards = 4});
   auto port = rig.server->start();
   ASSERT_TRUE(port);
   std::vector<QueryClient> idle;
@@ -440,8 +444,8 @@ std::string* ServeEndToEnd::dir_ = nullptr;
 std::vector<LeaseInference>* ServeEndToEnd::artifact_ = nullptr;
 
 TEST_F(ServeEndToEnd, EveryLeafByteEquivalent) {
-  for (unsigned threads : {1u, 8u}) {
-    Rig rig(*artifact_, QueryServer::Options{.port = 0, .threads = threads});
+  for (unsigned shards : {1u, 8u}) {
+    Rig rig(*artifact_, QueryServer::Options{.port = 0, .shards = shards});
     auto port = rig.server->start();
     ASSERT_TRUE(port) << port.error().to_string();
     // Expected responses come straight from the CSV-derived records.
@@ -471,7 +475,7 @@ TEST_F(ServeEndToEnd, EveryLeafByteEquivalent) {
       });
     }
     for (auto& t : clients) t.join();
-    EXPECT_EQ(failures.load(), 0) << "server threads=" << threads;
+    EXPECT_EQ(failures.load(), 0) << "server shards=" << shards;
     rig.server->stop();
   }
 }

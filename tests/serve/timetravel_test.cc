@@ -1,14 +1,16 @@
 // Time-travel serving wire tests (docs/TIMETRAVEL.md): AT on the text
-// verbs, the HISTORY verb, the binary frame epoch field, catalog-mode
-// STATS/RELOAD, and a hammer that queries three epochs while the catalog
-// is appended to. Suite names carry Catalog/History so the tsan preset
-// picks them up.
+// verbs, the HISTORY verb, the binary frame epoch field, catalog STATS/
+// RELOAD, a snapshot server as the one epoch 0, STATS read from one view
+// while RELOADs publish new epochs, and a hammer that queries three
+// epochs while the catalog is appended to. Suite names carry
+// Catalog/History/Serve so the tsan preset picks them up.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,22 +145,46 @@ TEST(CatalogAtVerb, RejectsBadTimestampsAndPreCatalogTimes) {
 }
 
 TEST(CatalogAtVerb, SingleSnapshotServerRejectsAt) {
-  // A server without a catalog refuses AT with a typed error.
-  auto e1 = canonical_inferences(
-      {record("10.0.0.0/24", InferenceGroup::kLeasedWithRoot)});
-  auto loaded =
-      snapshot::Snapshot::from_bytes(snapshot::encode_snapshot(e1));
-  ASSERT_TRUE(loaded);
-  auto built = EngineState::adopt(
-      std::make_unique<snapshot::Snapshot>(std::move(*loaded)), "<memory>");
-  ASSERT_TRUE(built);
+  // A server without a catalog serves its snapshot file as the one epoch
+  // 0: it refuses AT with a typed error, HISTORY answers one segment,
+  // STATS reports the one-epoch range, and bare RELOAD re-reads the file.
+  const std::string path = testing::TempDir() + "/sublet_single_" +
+                           std::to_string(::getpid()) + ".snap";
+  snapshot::write_snapshot_file(
+      path, canonical_inferences(
+                {record("10.0.0.0/24", InferenceGroup::kLeasedWithRoot)}));
+  auto built = EngineState::load(path);
+  ASSERT_TRUE(built) << built.error().to_string();
   QueryServer server(*built, {});
   EXPECT_NE(server.handle_request("EXACT 10.0.0.0/24 AT 1000")
                 .find("catalog-mode"),
             std::string::npos);
-  EXPECT_NE(server.handle_request("HISTORY 10.0.0.0/24")
-                .find("catalog-mode"),
+
+  const std::string history = server.handle_request("HISTORY 10.0.0.0/24");
+  EXPECT_NE(history.find("\"epochs\":1,\"first_epoch\":0,\"last_epoch\":0,"
+                         "\"segments\":[{\"from_epoch\":0,\"to_epoch\":0,"
+                         "\"found\":true,\"prefix\":\"10.0.0.0/24\","
+                         "\"group\":\"leased(g4)\",\"leased\":true}],"
+                         "\"transitions\":0"),
+            std::string::npos)
+      << history;
+  const std::string stats = server.handle_request("STATS");
+  EXPECT_NE(stats.find("\"epochs\":{\"count\":1,\"first\":0,\"last\":0}"),
+            std::string::npos)
+      << stats;
+
+  // The file is rewritten in place (write + rename); bare RELOAD serves
+  // the new contents as the next generation.
+  snapshot::write_snapshot_file(
+      path, canonical_inferences(
+                {record("10.0.0.0/24", InferenceGroup::kLeasedWithRoot),
+                 record("10.0.1.0/24", InferenceGroup::kIspCustomer)}));
+  const std::string reload = server.handle_request("RELOAD");
+  EXPECT_EQ(reload, "{\"ok\":true,\"generation\":2,\"records\":2,"
+                    "\"epochs\":1}");
+  EXPECT_NE(server.handle_request("EXACT 10.0.1.0/24").find("\"found\":true"),
             std::string::npos);
+  ::unlink(path.c_str());
 }
 
 // --- HISTORY -------------------------------------------------------------
@@ -323,6 +349,99 @@ TEST(CatalogBinaryEpoch, SingleSnapshotServerRejectsNonzeroEpoch) {
   ASSERT_TRUE(ok) << ok.error().to_string();
   EXPECT_EQ(ok->status, wire::kOk);
   server.stop();
+}
+
+// --- one view per request: STATS during RELOADs ---------------------------
+
+/// The first `n` leaves 10.0.<i>.0/24: epoch k of the ServeView catalog
+/// holds k records, so a record count names its epoch.
+std::vector<LeaseInference> first_leaves(std::size_t n) {
+  std::vector<LeaseInference> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string prefix = "10.0." + std::to_string(i) + ".0/24";
+    out.push_back(record(prefix.c_str(), InferenceGroup::kLeasedNoRoot));
+  }
+  return canonical_inferences(std::move(out));
+}
+
+/// The unsigned integer after the first `key` in `json`, or nullopt.
+std::optional<std::uint64_t> number_after(const std::string& json,
+                                          const std::string& key) {
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return std::nullopt;
+  std::size_t end = at + key.size();
+  if (end >= json.size() || json[end] < '0' || json[end] > '9') {
+    return std::nullopt;
+  }
+  std::uint64_t v = 0;
+  for (; end < json.size() && json[end] >= '0' && json[end] <= '9'; ++end) {
+    v = v * 10 + static_cast<std::uint64_t>(json[end] - '0');
+  }
+  return v;
+}
+
+TEST(ServeView, StatsNeverPairsAnEpochRangeWithAnotherEpochsAggregate) {
+  // Epoch 1000 * k holds k records. Four clients send STATS while the
+  // writer appends epochs and publishes each with a bare RELOAD; every
+  // answer's aggregate must belong to the epoch its range ends at.
+  const std::string dir = testing::TempDir() + "/sublet_serve_view_" +
+                          std::to_string(::getpid());
+  std::string cmd = "rm -rf '" + dir + "'";
+  [[maybe_unused]] int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(catalog::catalog_init(dir, 1000, first_leaves(1)));
+  // Every latest epoch carries a 64 MiB stride table: cache no history.
+  auto opened = catalog::Catalog::open(dir, {.lru_capacity = 1});
+  ASSERT_TRUE(opened) << opened.error().to_string();
+  std::shared_ptr<EpochSource> source = std::move(*opened);
+  auto initial = source->epoch_at(0);
+  ASSERT_TRUE(initial) << initial.error().to_string();
+  QueryServer server(source, std::move(*initial),
+                     QueryServer::Options{.port = 0, .shards = 2});
+  auto port = server.start();
+  ASSERT_TRUE(port) << port.error().to_string();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> answers{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      auto client = QueryClient::connect("127.0.0.1", *port);
+      if (!client) {
+        failures.fetch_add(1);
+        return;
+      }
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto stats = client->request("STATS");
+        auto records =
+            stats ? number_after(*stats, "\"snapshot\":{\"records\":")
+                  : std::nullopt;
+        auto last = stats ? number_after(*stats, "\"last\":") : std::nullopt;
+        if (!records || !last || *records * 1000 != *last) {
+          ADD_FAILURE() << (stats ? *stats : stats.error().to_string());
+          failures.fetch_add(1);
+          return;
+        }
+        answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  constexpr std::size_t kEpochs = 16;
+  for (std::size_t k = 2; k <= kEpochs; ++k) {
+    const auto epoch = static_cast<std::uint32_t>(1000 * k);
+    auto appended = catalog::catalog_append(dir, epoch, first_leaves(k));
+    ASSERT_TRUE(appended) << appended.error().to_string();
+    const std::string reload = server.handle_request("RELOAD");
+    EXPECT_NE(reload.find("\"records\":" + std::to_string(k) + ","),
+              std::string::npos)
+        << reload;
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(answers.load(), 0u);
+  server.stop();
+  rc = std::system(cmd.c_str());
 }
 
 // --- concurrency: three epochs queried during appends --------------------

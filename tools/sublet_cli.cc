@@ -37,6 +37,7 @@
 #include "serve/client.h"
 #include "serve/engine_state.h"
 #include "serve/server.h"
+#include "serve/snapshot_file.h"
 #include "loadgen/loadgen.h"
 #include "simnet/builder.h"
 #include "simnet/emit.h"
@@ -110,8 +111,8 @@ int usage() {
       "        <prefix>...                       one-shot loopback client\n"
       "                                          (--bin batches the addresses\n"
       "                                          into one binary LPM frame;\n"
-      "                                          --at / --history need a\n"
-      "                                          catalog-mode server;\n"
+      "                                          --at needs a catalog\n"
+      "                                          server;\n"
       "                                          --inspect dumps the per-shard\n"
       "                                          flight-recorder JSON)\n"
       "  top <host:port> [--interval-ms N] [--count N] [--once]\n"
@@ -659,40 +660,30 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
   }
   if (rest.size() != (catalog_dir ? 0u : 1u)) return usage();
+  // One source either way: a catalog serves AT / HISTORY / binary epoch
+  // frames through its LRU (docs/TIMETRAVEL.md); a snapshot file is the
+  // one epoch 0. Load the latest epoch up front so startup fails loudly
+  // on a broken catalog or snapshot.
   std::shared_ptr<serve::EpochSource> source;
-  std::shared_ptr<const serve::EngineState> initial;
-  std::string snapshot_path;
   if (catalog_dir) {
-    // Time-travel mode: materialize the latest epoch up front so startup
-    // fails loudly on a broken catalog, then serve AT / HISTORY / binary
-    // epoch frames through the catalog's LRU (docs/TIMETRAVEL.md).
     auto opened = catalog::Catalog::open(*catalog_dir);
     if (!opened) {
       std::cerr << opened.error().to_string() << "\n";
       return 1;
     }
-    source = std::shared_ptr<serve::EpochSource>(std::move(*opened));
-    auto latest = source->epoch_at(0);
-    if (!latest) {
-      std::cerr << latest.error().to_string() << "\n";
-      return 1;
-    }
-    initial = std::move(*latest);
+    source = std::move(*opened);
   } else {
-    snapshot_path = rest[0];
-    auto state = serve::EngineState::load(snapshot_path);
-    if (!state) {
-      std::cerr << state.error().to_string() << "\n";
-      return 1;
-    }
-    initial = std::move(*state);
+    source = std::make_shared<serve::SnapshotFile>(rest[0], 0);
   }
-  auto server_ptr =
-      catalog_dir
-          ? std::make_unique<serve::QueryServer>(source, std::move(initial),
-                                                 options)
-          : std::make_unique<serve::QueryServer>(std::move(initial), options);
-  serve::QueryServer& server = *server_ptr;
+  auto initial = source->refresh();
+  if (!initial) {
+    std::cerr << initial.error().to_string() << "\n";
+    return 1;
+  }
+  // Both moved, not copied: a reference held here would pin the first
+  // generation's engine through every later RELOAD.
+  const std::size_t records = (*initial)->snapshot().record_count();
+  serve::QueryServer server(std::move(source), std::move(*initial), options);
   auto port = server.start();
   if (!port) {
     std::cerr << port.error().to_string() << "\n";
@@ -707,7 +698,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     out << *port << "\n";
   }
   std::cout << "serving "
-            << with_commas(server.engine()->snapshot().record_count())
+            << with_commas(records)
             << " records on 127.0.0.1:" << *port << "\n"
             << std::flush;
   std::signal(SIGTERM, sublet_on_signal);
@@ -718,23 +709,10 @@ int cmd_serve(const std::vector<std::string>& args) {
         [] { return g_signal.load(std::memory_order_relaxed) != 0; });
     int sig = g_signal.exchange(0, std::memory_order_relaxed);
     if (sig == SIGHUP && reload_on_sighup && !server.stop_requested()) {
-      if (catalog_dir) {
-        // Catalog mode: re-scan the index for appended epochs — the text
-        // RELOAD verb does exactly that, counters included.
-        std::cout << server.handle_request("RELOAD") << "\n" << std::flush;
-        continue;
-      }
-      // Hot reload: re-read the snapshot path we were started with. A
-      // failed load logs and keeps the old generation serving.
-      auto generation = server.reload(snapshot_path);
-      if (generation) {
-        std::cout << "reloaded " << snapshot_path << " (generation "
-                  << *generation << ")\n"
-                  << std::flush;
-      } else {
-        std::cerr << "reload failed: " << generation.error().to_string()
-                  << "\n";
-      }
+      // Bare RELOAD refreshes the source — re-reads the snapshot file or
+      // re-scans the catalog for appended epochs — counters included. A
+      // failed load keeps the old generation serving.
+      std::cout << server.handle_request("RELOAD") << "\n" << std::flush;
       continue;
     }
     break;
