@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -25,44 +24,44 @@ namespace sublet::bgp {
 
 /// Observations accumulated for one prefix.
 struct RouteInfo {
-  /// Sorted and unique once the owning Rib is frozen. During load the Rib
-  /// appends raw observations here and defers the sort/unique to freeze()
-  /// — one pass at the end instead of a lower_bound+insert per route.
-  std::vector<Asn> origins;
+  std::vector<Asn> origins;  ///< sorted and unique
   std::uint32_t peer_observations = 0;  ///< RIB entries seen (visibility)
 
   bool originated_by(Asn asn) const;
 };
 
+/// Build model: every add_* call only appends observations (one
+/// mrt::OriginRun per call); freeze() is the one build path. It merges the
+/// pending runs and the table an earlier freeze built by prefix, dedups
+/// each prefix's origins, sums its entry counts and bulk-builds the trie.
+/// A prefix seen only with empty AS_PATHs, or in a record with no entries,
+/// is present with no origins.
 class Rib {
  public:
   Rib() = default;
   Rib(Rib&& other) noexcept;
   Rib& operator=(Rib&& other) noexcept;
 
-  /// Merge one decoded MRT snapshot. Origin = last AS of each entry's
+  /// Add one decoded MRT snapshot. Origin = last AS of each entry's
   /// AS_PATH (every member for a trailing AS_SET). Call once per collector
   /// file; duplicates union cleanly.
   void add_snapshot(const mrt::RibSnapshot& snapshot);
 
-  /// Load an MRT RIB file from disk and merge it. Returns an Error for
-  /// unreadable/corrupt files.
-  std::optional<Error> add_file(const std::string& path);
+  /// Add the origin observations of one RIB file (mrt::read_rib_origins).
+  void add_origins(mrt::OriginRun run);
 
-  /// Merge `bgpdump -m` text (TABLE_DUMP2 "B" lines; announce lines also
-  /// accepted, withdrawals and skippable lines ignored). Returns the
-  /// number of entries merged; damaged (non-skippable) lines error out.
-  Expected<std::size_t> add_bgpdump_text(std::istream& in,
-                                         std::string source = {});
+  /// Read an MRT RIB file from disk and add its origins. Returns an Error
+  /// for unreadable/corrupt files, which then add nothing.
+  std::optional<Error> add_file(const std::string& path);
 
   /// Record a single observation (used by tests and the simulator's
   /// in-memory path).
   void add_route(const Prefix& prefix, Asn origin);
 
-  /// Sort/unique the per-prefix origin sets accumulated by the add_* calls.
-  /// Queries finalize lazily (and thread-safely) on first use, so calling
-  /// this is optional — but doing it once after the bulk load keeps the
-  /// cost out of the first query and off the classification threads.
+  /// Build the table from everything added so far. Queries freeze lazily
+  /// (and thread-safely) on first use, so calling this is optional — but
+  /// doing it once after the bulk load keeps the cost out of the first
+  /// query and off the classification threads.
   void freeze();
 
   /// Origin ASes observed for exactly `prefix`; nullptr if never seen.
@@ -77,7 +76,10 @@ class Rib {
       const Prefix& prefix) const;
 
   /// Number of distinct prefixes in the table.
-  std::size_t prefix_count() const { return trie_.size(); }
+  std::size_t prefix_count() const {
+    ensure_finalized();
+    return trie_.size();
+  }
 
   /// Total routed address space: size in addresses of the union of all
   /// prefixes (covering prefixes counted once).
@@ -91,12 +93,13 @@ class Rib {
   std::set<Asn> all_origins() const;
 
  private:
-  /// Freeze on first query if an add_* call left origin sets unsorted.
+  /// Freeze on first query if an add_* call left observations pending.
   /// Double-checked so the steady state (shared read-only Rib across
   /// classification threads) is a single relaxed-ish atomic load.
   void ensure_finalized() const;
 
   PrefixTrie<RouteInfo> trie_;
+  std::vector<mrt::OriginRun> pending_;
   mutable std::atomic<bool> finalized_{true};
   mutable std::mutex finalize_mu_;
 };

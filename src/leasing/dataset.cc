@@ -1,9 +1,14 @@
 #include "leasing/dataset.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -58,18 +63,29 @@ std::vector<std::string> sorted_files_with_extension(
   return files;
 }
 
+/// See load_dataset in dataset.h: large buffers are mmapped and returned
+/// to the system when freed, whichever thread allocated them.
+void fix_mmap_threshold() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 16 << 20); });
+#endif
+}
+
 }  // namespace
 
 DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   if (!fs::is_directory(dir)) {
     throw std::runtime_error("dataset directory missing: " + dir);
   }
+  fix_mmap_threshold();
   unsigned threads = par::resolve_threads(options.threads);
   DatasetBundle bundle;
   obs::ScopedSpan load_span("dataset.load");
   // TaskGroup tasks run on pool threads; hand them the stage span id so
   // their spans nest under dataset.load in the trace.
   obs::SpanId load_id = load_span.id();
+  const bool all = options.scope == DatasetScope::kAll;
 
   // Every independent file loads as one task. Each task writes its own
   // result slot and diagnostic sink; after the join, slots merge in the
@@ -106,41 +122,45 @@ DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
     });
   }
 
-  // BGP collectors: decode every MRT file concurrently, then union the
-  // snapshots into the RIB in file order.
+  // BGP collectors: read every MRT file's origin observations
+  // concurrently, then hand the runs to the RIB in file order.
   std::string bgp_dir = dir + "/bgp";
   std::vector<std::string> bgp_files;
   if (fs::is_directory(bgp_dir)) {
     bgp_files = sorted_files_with_extension(bgp_dir, ".mrt");
   }
-  std::vector<std::optional<Expected<mrt::RibSnapshot>>> snapshots(
-      bgp_files.size());
+  std::vector<std::optional<Expected<mrt::OriginRun>>> runs(bgp_files.size());
   for (std::size_t i = 0; i < bgp_files.size(); ++i) {
     group.run([&, i] {
       obs::ScopedSpan task("dataset.mrt", load_id);
-      snapshots[i] = mrt::read_rib_file(bgp_files[i]);
+      runs[i] = mrt::read_rib_origins(bgp_files[i]);
+      if (*runs[i]) task.add_records((*runs[i])->records.size());
     });
   }
 
   // AS-level datasets.
   std::vector<Error> as_rel_diags, as2org_diags;
   std::string rel_path = dir + "/asgraph/as-rel.txt";
+  std::string org_path = dir + "/asgraph/as2org.txt";
   if (fs::exists(rel_path)) {
     group.run([&] {
+      obs::ScopedSpan task("dataset.asrel", load_id);
       bundle.as_rel = asgraph::AsRelationships::load(rel_path, &as_rel_diags);
     });
   }
-  std::string org_path = dir + "/asgraph/as2org.txt";
   if (fs::exists(org_path)) {
-    group.run(
-        [&] { bundle.as2org = asgraph::As2Org::load(org_path, &as2org_diags); });
+    group.run([&] {
+      obs::ScopedSpan task("dataset.as2org", load_id);
+      bundle.as2org = asgraph::As2Org::load(org_path, &as2org_diags);
+    });
   }
 
   // RPKI archive.
   std::vector<Error> rpki_diags;
   std::string rpki_dir = dir + "/rpki";
-  if (fs::is_directory(rpki_dir)) {
+  if (all && fs::is_directory(rpki_dir)) {
     group.run([&] {
+      obs::ScopedSpan task("dataset.rpki", load_id);
       bundle.rpki_archive =
           rpki::RpkiArchive::load_directory(rpki_dir, &rpki_diags);
     });
@@ -149,21 +169,27 @@ DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   // Abuse lists.
   std::vector<Error> drop_diags, hijacker_diags, transfer_diags;
   std::string drop_path = dir + "/lists/asn-drop.json";
-  if (fs::exists(drop_path)) {
-    group.run(
-        [&] { bundle.drop = abuse::AsnSet::load_drop(drop_path, &drop_diags); });
-  }
   std::string hijacker_path = dir + "/lists/serial-hijackers.txt";
-  if (fs::exists(hijacker_path)) {
-    group.run([&] {
-      bundle.hijackers =
-          abuse::AsnSet::load_plain(hijacker_path, &hijacker_diags);
-    });
+  if (all) {
+    if (fs::exists(drop_path)) {
+      group.run([&] {
+        obs::ScopedSpan task("dataset.lists", load_id);
+        bundle.drop = abuse::AsnSet::load_drop(drop_path, &drop_diags);
+      });
+    }
+    if (fs::exists(hijacker_path)) {
+      group.run([&] {
+        obs::ScopedSpan task("dataset.lists", load_id);
+        bundle.hijackers =
+            abuse::AsnSet::load_plain(hijacker_path, &hijacker_diags);
+      });
+    }
   }
 
   std::string transfers_path = dir + "/lists/transfers.txt";
-  if (fs::exists(transfers_path)) {
+  if (all && fs::exists(transfers_path)) {
     group.run([&] {
+      obs::ScopedSpan task("dataset.transfers", load_id);
       bundle.transfers =
           transfers::TransferLog::load(transfers_path, &transfer_diags);
     });
@@ -172,13 +198,14 @@ DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   // Geolocation snapshots, one task per provider CSV.
   std::string geo_dir = dir + "/geo";
   std::vector<std::string> geo_files;
-  if (fs::is_directory(geo_dir)) {
+  if (all && fs::is_directory(geo_dir)) {
     geo_files = sorted_files_with_extension(geo_dir, ".csv");
   }
   std::vector<std::optional<geo::GeoDb>> geodbs(geo_files.size());
   std::vector<std::vector<Error>> geo_diags(geo_files.size());
   for (std::size_t i = 0; i < geo_files.size(); ++i) {
     group.run([&, i] {
+      obs::ScopedSpan task("dataset.geo", load_id);
       geodbs[i] = geo::GeoDb::load_csv(
           geo_files[i], fs::path(geo_files[i]).stem().string(), &geo_diags[i]);
     });
@@ -203,17 +230,25 @@ DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   {
     obs::ScopedSpan rib_span("rib.load");
     std::size_t rib_snapshots = 0;
-    for (auto& snapshot : snapshots) {
-      if (!*snapshot) {
-        bundle.diagnostics.push_back(snapshot->error());
-      } else {
-        bundle.rib.add_snapshot(**snapshot);
-        ++rib_snapshots;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      Expected<mrt::OriginRun>& run = *runs[i];
+      if (!run) {
+        bundle.diagnostics.push_back(run.error());
+        continue;
       }
+      for (const mrt::SkippedRecords& skipped : run->skipped) {
+        bundle.diagnostics.push_back(
+            fail("skipped " + std::to_string(skipped.count) +
+                     " MRT record(s) of type " + std::to_string(skipped.type) +
+                     "/" + std::to_string(skipped.subtype) +
+                     " (not decoded)",
+                 bgp_files[i]));
+      }
+      bundle.rib.add_origins(std::move(*run));
+      ++rib_snapshots;
     }
-    // One sort/unique pass over all origin sets, instead of paying it
-    // lazily under the first query (which may come from a classification
-    // thread).
+    // Build the table once here, instead of lazily under the first query
+    // (which may come from a classification thread).
     bundle.rib.freeze();
     rib_span.add_records(bundle.rib.prefix_count());
     auto& reg = obs::MetricsRegistry::global();
@@ -242,19 +277,22 @@ DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   }
 
   // Broker lists and evaluation ISP orgs.
-  for (whois::Rir rir : whois::kAllRirs) {
-    std::string path =
-        dir + "/lists/brokers-" + to_lower(rir_name(rir)) + ".txt";
-    if (fs::exists(path)) bundle.brokers[rir] = read_lines(path);
-  }
-  std::string isp_path = dir + "/lists/eval-isp-orgs.txt";
-  if (fs::exists(isp_path)) {
-    for (const std::string& line : read_lines(isp_path)) {
-      auto fields = split(line, '|');
-      if (fields.size() != 2) continue;
-      auto rir = whois::rir_from_name(trim(fields[0]));
-      if (!rir) continue;
-      bundle.eval_isp_orgs[*rir].emplace_back(trim(fields[1]));
+  if (all) {
+    obs::ScopedSpan lists_span("dataset.lists");
+    for (whois::Rir rir : whois::kAllRirs) {
+      std::string path =
+          dir + "/lists/brokers-" + to_lower(rir_name(rir)) + ".txt";
+      if (fs::exists(path)) bundle.brokers[rir] = read_lines(path);
+    }
+    std::string isp_path = dir + "/lists/eval-isp-orgs.txt";
+    if (fs::exists(isp_path)) {
+      for (const std::string& line : read_lines(isp_path)) {
+        auto fields = split(line, '|');
+        if (fields.size() != 2) continue;
+        auto rir = whois::rir_from_name(trim(fields[0]));
+        if (!rir) continue;
+        bundle.eval_isp_orgs[*rir].emplace_back(trim(fields[1]));
+      }
     }
   }
   return bundle;

@@ -14,6 +14,11 @@
 // Missing optional pieces load as empty; missing WHOIS entirely is an
 // error. The simulator's ground-truth file lives outside this bundle on
 // purpose (simnet/ground_truth.h) so the classifier can never see it.
+//
+// A caller that only classifies can skip the pieces classification never
+// reads (LoadOptions::scope); skipped pieces stay empty. The CLI loads:
+//   infer, explain          WHOIS, RIB, AS data (DatasetScope::kClassify)
+//   every other command     everything (DatasetScope::kAll)
 #pragma once
 
 #include <map>
@@ -53,16 +58,33 @@ struct DatasetBundle {
   const whois::WhoisDb* db_for(whois::Rir rir) const;
 };
 
+enum class DatasetScope {
+  kAll,       ///< every piece of the bundle
+  kClassify,  ///< what paper §5 classification reads: WHOIS, RIB, AS data;
+              ///< RPKI, geo and lists/ (transfers, abuse, brokers) stay empty
+};
+
 struct LoadOptions {
   /// Worker threads for the bundle load: the five WHOIS databases, the
   /// per-collector RIB files, and the auxiliary datasets load as
   /// concurrent tasks. 0 = process default (--threads), 1 = serial legacy
   /// order. Results and diagnostics order are identical either way.
   unsigned threads = 0;
+  DatasetScope scope = DatasetScope::kAll;
 };
 
 /// Load a bundle. Throws std::runtime_error when the directory is missing
 /// or contains no WHOIS databases.
+///
+/// With glibc, the first call fixes the process's malloc mmap threshold at
+/// 16 MiB (mallopt M_MMAP_THRESHOLD), which also turns off glibc's dynamic
+/// threshold. The load tasks allocate and free buffers of tens of MB on
+/// worker threads; after the first such free, the dynamic threshold rose
+/// and the next ones came from per-thread arenas, where freed memory stays
+/// resident. In a process that loaded a scale-2 world and then freed the
+/// bundle, 150-245 MB stayed resident, a different amount in every run;
+/// with the fixed threshold ~90 MB did, and `sublet infer`'s peak RSS fell
+/// from ~179 MB to ~153 MB at the same wall time.
 DatasetBundle load_dataset(const std::string& dir, LoadOptions options);
 DatasetBundle load_dataset(const std::string& dir);
 

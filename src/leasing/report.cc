@@ -35,6 +35,28 @@ std::vector<std::string> parse_handles(std::string_view field) {
   return out;
 }
 
+/// The fields of one record as views: into `line` when it has no quote
+/// (then the fields are exactly the comma-separated pieces), else into
+/// `unquoted`, which parse_csv_line fills.
+void split_fields(std::string_view line, std::vector<std::string>& unquoted,
+                  std::vector<std::string_view>& fields) {
+  fields.clear();
+  if (line.find('"') != std::string_view::npos) {
+    unquoted = parse_csv_line(line);
+    fields.assign(unquoted.begin(), unquoted.end());
+    return;
+  }
+  for (std::size_t start = 0;;) {
+    std::size_t comma = line.find(',', start);
+    if (comma == std::string_view::npos) {
+      fields.push_back(line.substr(start));
+      return;
+    }
+    fields.push_back(line.substr(start, comma - start));
+    start = comma + 1;
+  }
+}
+
 }  // namespace
 
 void write_inferences_csv(std::ostream& out,
@@ -74,10 +96,12 @@ Expected<std::vector<LeaseInference>> read_inferences_csv(std::istream& in) {
   // read_csv_record keeps quoted fields intact across embedded newlines, so
   // org names and netnames containing commas, quotes, or line breaks
   // round-trip byte-for-byte through write_inferences_csv.
+  std::vector<std::string> unquoted;
+  std::vector<std::string_view> fields;
   while (read_csv_record(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    auto fields = parse_csv_line(line);
+    split_fields(line, unquoted, fields);
     if (line_no == 1 && !fields.empty() && fields[0] == "prefix") continue;
     if (fields.size() < 11) {
       return fail("expected 11 columns", "", line_no);

@@ -7,7 +7,6 @@ namespace sublet::mrt {
 namespace {
 constexpr std::uint8_t kFlagOptional = 0x80;
 constexpr std::uint8_t kFlagTransitive = 0x40;
-constexpr std::uint8_t kFlagExtendedLength = 0x10;
 }  // namespace
 
 std::vector<Asn> AsPath::origin_asns() const {
@@ -28,23 +27,79 @@ std::vector<Asn> AsPath::flatten() const {
 
 namespace {
 
-Expected<AsPath> decode_as_path(std::span<const std::uint8_t> payload,
-                                bool four_byte_as) {
+std::size_t as_word(bool four_byte_as) { return four_byte_as ? 4 : 2; }
+
+/// Segment framing of an AS_PATH/AS4_PATH payload: known segment types,
+/// no segment running past the payload.
+std::optional<Error> check_as_path(std::span<const std::uint8_t> payload,
+                                   bool four_byte_as) {
+  for (std::size_t pos = 0; pos < payload.size();) {
+    std::uint8_t type = payload[pos];
+    if (type != 1 && type != 2) {
+      return fail("bad AS_PATH segment type " + std::to_string(type));
+    }
+    if (pos + 1 == payload.size()) return fail("truncated AS_PATH segment");
+    pos += 2 + payload[pos + 1] * as_word(four_byte_as);
+    if (pos > payload.size()) return fail("truncated AS_PATH segment");
+  }
+  return std::nullopt;
+}
+
+/// Value checks for the attribute types this module understands.
+std::optional<Error> check_attribute(std::uint8_t type,
+                                     std::span<const std::uint8_t> payload,
+                                     bool four_byte_as) {
+  switch (static_cast<AttrType>(type)) {
+    case AttrType::kOrigin:
+      if (payload.empty() || payload[0] > 2) {
+        return fail("bad ORIGIN attribute");
+      }
+      return std::nullopt;
+    case AttrType::kAsPath:
+      return check_as_path(payload, four_byte_as);
+    case AttrType::kAs4Path:
+      return check_as_path(payload, /*four_byte_as=*/true);
+    case AttrType::kNextHop:
+      if (payload.size() != 4) return fail("bad NEXT_HOP length");
+      return std::nullopt;
+    case AttrType::kMed:
+      if (payload.size() != 4) return fail("bad MED length");
+      return std::nullopt;
+    case AttrType::kLocalPref:
+      if (payload.size() != 4) return fail("bad LOCAL_PREF length");
+      return std::nullopt;
+    case AttrType::kAtomicAggregate:
+      if (!payload.empty()) return fail("bad ATOMIC_AGGREGATE length");
+      return std::nullopt;
+    case AttrType::kAggregator:
+    case AttrType::kAs4Aggregator: {
+      bool four = four_byte_as ||
+                  static_cast<AttrType>(type) == AttrType::kAs4Aggregator;
+      if (payload.size() < as_word(four) + 4) {
+        return fail("bad AGGREGATOR length");
+      }
+      return std::nullopt;
+    }
+    case AttrType::kCommunities:
+      if (payload.size() % 4 != 0) return fail("bad COMMUNITIES length");
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+/// Decode an AS_PATH payload that check_as_path accepted.
+AsPath decode_as_path(std::span<const std::uint8_t> payload,
+                      bool four_byte_as) {
   AsPath path;
   BufReader r(payload);
   while (r.remaining() > 0) {
     AsPathSegment seg;
-    std::uint8_t type = r.u8();
+    seg.type = static_cast<AsPathSegmentType>(r.u8());
     std::uint8_t count = r.u8();
-    if (type != 1 && type != 2) {
-      return fail("bad AS_PATH segment type " + std::to_string(type));
-    }
-    seg.type = static_cast<AsPathSegmentType>(type);
+    seg.asns.reserve(count);
     for (int i = 0; i < count; ++i) {
-      std::uint32_t asn = four_byte_as ? r.u32() : r.u16();
-      seg.asns.push_back(Asn(asn));
+      seg.asns.push_back(Asn(four_byte_as ? r.u32() : r.u16()));
     }
-    if (!r.ok()) return fail("truncated AS_PATH segment");
     path.segments.push_back(std::move(seg));
   }
   return path;
@@ -52,88 +107,109 @@ Expected<AsPath> decode_as_path(std::span<const std::uint8_t> payload,
 
 }  // namespace
 
+bool AttributeWalker::check(const AttributeView& attr) {
+  if (!reader_.ok()) {
+    error_ = fail("truncated attribute type " + std::to_string(attr.type));
+  } else if (auto bad =
+                 check_attribute(attr.type, attr.payload, four_byte_as_)) {
+    error_ = std::move(*bad);
+  }
+  return !error_;
+}
+
 Expected<PathAttributes> decode_path_attributes(
     std::span<const std::uint8_t> data, bool four_byte_as) {
   PathAttributes attrs;
-  BufReader r(data);
-  while (r.remaining() > 0) {
-    std::uint8_t flags = r.u8();
-    std::uint8_t type = r.u8();
-    std::size_t length =
-        (flags & kFlagExtendedLength) ? r.u16() : r.u8();
-    auto payload = r.bytes(length);
-    if (!r.ok()) {
-      return fail("truncated attribute type " + std::to_string(type));
-    }
-    BufReader p(payload);
-    switch (static_cast<AttrType>(type)) {
-      case AttrType::kOrigin: {
-        std::uint8_t v = p.u8();
-        if (!p.ok() || v > 2) return fail("bad ORIGIN attribute");
-        attrs.origin = static_cast<BgpOrigin>(v);
+  AttributeWalker walker(data, four_byte_as);
+  while (auto attr = walker.next()) {
+    BufReader p(attr->payload);
+    switch (static_cast<AttrType>(attr->type)) {
+      case AttrType::kOrigin:
+        attrs.origin = static_cast<BgpOrigin>(p.u8());
         break;
-      }
-      case AttrType::kAsPath: {
-        auto path = decode_as_path(payload, four_byte_as);
-        if (!path) return path.error();
-        attrs.as_path = std::move(*path);
+      case AttrType::kAsPath:
+        attrs.as_path = decode_as_path(attr->payload, four_byte_as);
         break;
-      }
-      case AttrType::kAs4Path: {
+      case AttrType::kAs4Path:
         // RFC 6793: when the main path is 2-byte, AS4_PATH carries the true
-        // 4-byte path; it overrides for origin extraction. Always 4-byte.
-        auto path = decode_as_path(payload, /*four_byte_as=*/true);
-        if (!path) return path.error();
-        // Prefer AS4_PATH only when the 2-byte path contains AS_TRANS
-        // placeholders; a simple and safe policy is: if present and the
-        // current path is 2-byte-decoded, take AS4_PATH.
-        if (!four_byte_as) attrs.as_path = std::move(*path);
+        // 4-byte path and overrides it for origin extraction.
+        if (!four_byte_as) {
+          attrs.as_path = decode_as_path(attr->payload, /*four_byte_as=*/true);
+        }
         break;
-      }
-      case AttrType::kNextHop: {
-        if (payload.size() != 4) return fail("bad NEXT_HOP length");
+      case AttrType::kNextHop:
         attrs.next_hop = Ipv4Addr(p.u32());
         break;
-      }
-      case AttrType::kMed: {
-        if (payload.size() != 4) return fail("bad MED length");
+      case AttrType::kMed:
         attrs.med = p.u32();
         break;
-      }
-      case AttrType::kLocalPref: {
-        if (payload.size() != 4) return fail("bad LOCAL_PREF length");
+      case AttrType::kLocalPref:
         attrs.local_pref = p.u32();
         break;
-      }
-      case AttrType::kAtomicAggregate: {
-        if (!payload.empty()) return fail("bad ATOMIC_AGGREGATE length");
+      case AttrType::kAtomicAggregate:
         attrs.atomic_aggregate = true;
         break;
-      }
       case AttrType::kAggregator:
       case AttrType::kAs4Aggregator: {
-        bool four = four_byte_as ||
-                    static_cast<AttrType>(type) == AttrType::kAs4Aggregator;
+        bool four = four_byte_as || static_cast<AttrType>(attr->type) ==
+                                        AttrType::kAs4Aggregator;
         std::uint32_t asn = four ? p.u32() : p.u16();
-        std::uint32_t ip = p.u32();
-        if (!p.ok()) return fail("bad AGGREGATOR length");
-        attrs.aggregator = {Asn(asn), Ipv4Addr(ip)};
+        attrs.aggregator = {Asn(asn), Ipv4Addr(p.u32())};
         break;
       }
-      case AttrType::kCommunities: {
-        if (payload.size() % 4 != 0) return fail("bad COMMUNITIES length");
+      case AttrType::kCommunities:
         while (p.remaining() >= 4) attrs.communities.push_back(p.u32());
         break;
-      }
-      default: {
+      default:
         attrs.unrecognized.push_back(
-            {flags, type,
-             std::vector<std::uint8_t>(payload.begin(), payload.end())});
+            {attr->flags, attr->type,
+             std::vector<std::uint8_t>(attr->payload.begin(),
+                                       attr->payload.end())});
         break;
-      }
     }
   }
+  if (walker.error()) return *walker.error();
   return attrs;
+}
+
+std::optional<Error> read_origin_asns(std::span<const std::uint8_t> data,
+                                      bool four_byte_as,
+                                      std::vector<Asn>& out) {
+  // The path decode_path_attributes would keep: the last AS_PATH, or the
+  // last AS4_PATH when the main path is 2-byte.
+  std::span<const std::uint8_t> path;
+  std::size_t word = as_word(four_byte_as);
+  AttributeWalker walker(data, four_byte_as);
+  while (auto attr = walker.next()) {
+    if (attr->type == static_cast<std::uint8_t>(AttrType::kAsPath)) {
+      path = attr->payload;
+      word = as_word(four_byte_as);
+    } else if (attr->type == static_cast<std::uint8_t>(AttrType::kAs4Path) &&
+               !four_byte_as) {
+      path = attr->payload;
+      word = 4;
+    }
+  }
+  if (walker.error()) return walker.error();
+
+  // The walker checked the segment framing; hop to the trailing segment.
+  std::size_t last = 0;
+  for (std::size_t pos = 0; pos < path.size();) {
+    last = pos;
+    pos += 2 + path[pos + 1] * word;
+  }
+  if (path.empty() || path[last + 1] == 0) return std::nullopt;
+  BufReader r(path.subspan(last + 2));
+  std::size_t count = path[last + 1];
+  if (path[last] == static_cast<std::uint8_t>(AsPathSegmentType::kAsSet)) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(Asn(word == 4 ? r.u32() : r.u16()));
+    }
+  } else {
+    r.skip((count - 1) * word);
+    out.push_back(Asn(word == 4 ? r.u32() : r.u16()));
+  }
+  return std::nullopt;
 }
 
 namespace {

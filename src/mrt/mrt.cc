@@ -17,21 +17,21 @@ constexpr std::uint32_t kMaxBody = 64 * 1024 * 1024;
 MrtReader::MrtReader(std::istream& in, std::string source)
     : in_(in), source_(std::move(source)) {}
 
-std::optional<MrtRecord> MrtReader::next() {
-  if (error_) return std::nullopt;
+const MrtRecord* MrtReader::next() {
+  if (error_) return nullptr;
 
   std::uint8_t header[kHeaderSize];
   in_.read(reinterpret_cast<char*>(header), kHeaderSize);
-  if (in_.gcount() == 0 && in_.eof()) return std::nullopt;  // clean EOF
+  if (in_.gcount() == 0 && in_.eof()) return nullptr;  // clean EOF
   if (static_cast<std::size_t>(in_.gcount()) != kHeaderSize) {
     error_ = fail("truncated MRT header after record " +
                       std::to_string(count_),
                   source_);
-    return std::nullopt;
+    return nullptr;
   }
 
   BufReader r(header);
-  MrtRecord rec;
+  MrtRecord& rec = record_;
   rec.timestamp = r.u32();
   rec.type = r.u16();
   rec.subtype = r.u16();
@@ -39,18 +39,19 @@ std::optional<MrtRecord> MrtReader::next() {
   if (length > kMaxBody) {
     error_ = fail("implausible MRT record length " + std::to_string(length),
                   source_);
-    return std::nullopt;
+    return nullptr;
   }
 
+  // resize() keeps the capacity, so one buffer serves the whole stream.
   rec.body.resize(length);
   in_.read(reinterpret_cast<char*>(rec.body.data()), length);
   if (static_cast<std::size_t>(in_.gcount()) != length) {
     error_ = fail("truncated MRT body in record " + std::to_string(count_),
                   source_);
-    return std::nullopt;
+    return nullptr;
   }
   ++count_;
-  return rec;
+  return &rec;
 }
 
 MrtWriter::MrtWriter(std::ostream& out) : out_(out) {}

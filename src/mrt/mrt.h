@@ -46,13 +46,15 @@ struct MrtRecord {
 /// Streaming MRT reader. Iterates records from a binary istream; a record
 /// with a bad header or truncated body yields an Error and stops (MRT has
 /// no resynchronization marker, so damage is not recoverable mid-file).
+/// Reuses one record, body buffer included, for the whole stream.
 class MrtReader {
  public:
   explicit MrtReader(std::istream& in, std::string source = {});
 
-  /// Next record; nullopt at clean EOF. Truncation mid-record is reported
-  /// through error() and also ends iteration.
-  std::optional<MrtRecord> next();
+  /// Next record, valid until the following next() call; nullptr at clean
+  /// EOF. Truncation mid-record is reported through error() and also ends
+  /// iteration.
+  const MrtRecord* next();
 
   const std::optional<Error>& error() const { return error_; }
   std::size_t records_read() const { return count_; }
@@ -62,6 +64,7 @@ class MrtReader {
   std::string source_;
   std::optional<Error> error_;
   std::size_t count_ = 0;
+  MrtRecord record_;
 };
 
 /// MRT writer: frames bodies with the common header.

@@ -82,26 +82,48 @@ std::vector<std::uint8_t> encode_peer_index_table(const PeerIndexTable& pit) {
   return w.take();
 }
 
+Expected<RibRecordFrame> RibRecordFrame::open(
+    std::span<const std::uint8_t> body) {
+  RibRecordFrame frame(body);
+  frame.sequence_ = frame.reader_.u32();
+  auto prefix = decode_nlri_prefix(frame.reader_);
+  if (!prefix) return prefix.error();
+  frame.prefix_ = *prefix;
+  frame.entry_count_ = frame.reader_.u16();
+  if (!frame.reader_.ok()) return fail("truncated RIB record header");
+  return frame;
+}
+
+Expected<RibEntryView> RibRecordFrame::next_entry() {
+  RibEntryView entry;
+  entry.peer_index = reader_.u16();
+  entry.originated_time = reader_.u32();
+  std::uint16_t attr_len = reader_.u16();
+  entry.attributes = reader_.bytes(attr_len);
+  if (!reader_.ok()) {
+    return fail("truncated RIB entry " + std::to_string(entries_read_));
+  }
+  ++entries_read_;
+  return entry;
+}
+
 Expected<RibPrefixRecord> decode_rib_ipv4_unicast(
     std::span<const std::uint8_t> body) {
-  BufReader r(body);
+  auto frame = RibRecordFrame::open(body);
+  if (!frame) return frame.error();
   RibPrefixRecord rec;
-  rec.sequence = r.u32();
-  auto prefix = decode_nlri_prefix(r);
-  if (!prefix) return prefix.error();
-  rec.prefix = *prefix;
-  std::uint16_t entry_count = r.u16();
-  if (!r.ok()) return fail("truncated RIB record header");
-  rec.entries.reserve(entry_count);
-  for (int i = 0; i < entry_count; ++i) {
+  rec.sequence = frame->sequence();
+  rec.prefix = frame->prefix();
+  rec.entries.reserve(frame->entry_count());
+  for (int i = 0; i < frame->entry_count(); ++i) {
+    auto view = frame->next_entry();
+    if (!view) return view.error();
     RibEntry entry;
-    entry.peer_index = r.u16();
-    entry.originated_time = r.u32();
-    std::uint16_t attr_len = r.u16();
-    auto attr_bytes = r.bytes(attr_len);
-    if (!r.ok()) return fail("truncated RIB entry " + std::to_string(i));
+    entry.peer_index = view->peer_index;
+    entry.originated_time = view->originated_time;
     // TABLE_DUMP_V2 always encodes AS_PATH with 4-byte ASes (RFC 6396).
-    auto attrs = decode_path_attributes(attr_bytes, /*four_byte_as=*/true);
+    auto attrs =
+        decode_path_attributes(view->attributes, /*four_byte_as=*/true);
     if (!attrs) return attrs.error();
     entry.attributes = std::move(*attrs);
     rec.entries.push_back(std::move(entry));

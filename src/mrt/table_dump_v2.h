@@ -53,6 +53,39 @@ Expected<PeerIndexTable> decode_peer_index_table(
     std::span<const std::uint8_t> body);
 std::vector<std::uint8_t> encode_peer_index_table(const PeerIndexTable& pit);
 
+/// One RIB entry as framed on the wire; `attributes` views the record body.
+struct RibEntryView {
+  std::uint16_t peer_index = 0;
+  std::uint32_t originated_time = 0;
+  std::span<const std::uint8_t> attributes;
+};
+
+/// The framing of a RIB_IPV4_UNICAST body: the header, then entry_count()
+/// entries read one by one. Both RIB readers (decode_rib_ipv4_unicast and
+/// the origin-only read_rib_origins) frame records through it, so they
+/// reject the same damage with the same Error.
+class RibRecordFrame {
+ public:
+  static Expected<RibRecordFrame> open(std::span<const std::uint8_t> body);
+
+  std::uint32_t sequence() const { return sequence_; }
+  const Prefix& prefix() const { return prefix_; }
+  std::uint16_t entry_count() const { return entry_count_; }
+
+  /// The next entry; call at most entry_count() times.
+  Expected<RibEntryView> next_entry();
+
+ private:
+  explicit RibRecordFrame(std::span<const std::uint8_t> body)
+      : reader_(body) {}
+
+  BufReader reader_;
+  std::uint32_t sequence_ = 0;
+  Prefix prefix_;
+  std::uint16_t entry_count_ = 0;
+  int entries_read_ = 0;
+};
+
 Expected<RibPrefixRecord> decode_rib_ipv4_unicast(
     std::span<const std::uint8_t> body);
 std::vector<std::uint8_t> encode_rib_ipv4_unicast(const RibPrefixRecord& rec);

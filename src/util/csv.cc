@@ -66,10 +66,12 @@ std::vector<std::string> parse_csv_line(std::string_view line, char sep) {
 }
 
 namespace {
-/// True if `text` ends inside an open quoted field.
+/// True if `text` ends inside an open quoted field. A quote opens a field
+/// only as the field's first character, as in parse_csv_line.
 bool quote_open(std::string_view text, char sep) {
+  if (text.find('"') == std::string_view::npos) return false;
   bool in_quotes = false;
-  std::string cur;
+  bool field_started = false;
   for (std::size_t i = 0; i < text.size(); ++i) {
     char c = text[i];
     if (in_quotes) {
@@ -80,13 +82,13 @@ bool quote_open(std::string_view text, char sep) {
           in_quotes = false;
         }
       }
-      cur.push_back(c);
-    } else if (c == '"' && cur.empty()) {
+      field_started = true;
+    } else if (c == '"' && !field_started) {
       in_quotes = true;
     } else if (c == sep) {
-      cur.clear();
+      field_started = false;
     } else {
-      cur.push_back(c);
+      field_started = true;
     }
   }
   return in_quotes;

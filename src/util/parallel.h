@@ -20,6 +20,10 @@
 // threads are created at all. The first exception thrown by any chunk or
 // task is captured and rethrown from the calling thread after all work
 // has drained; further exceptions are discarded.
+//
+// Each worker thread pins itself to one CPU of the process's affinity mask,
+// round-robin across all workers the process starts, so a pool's workers
+// run on distinct CPUs from their first task (pin_worker in parallel.cc).
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace sublet::bgp {
 namespace {
 
@@ -160,31 +158,6 @@ TEST(Rib, FileRoundTripThroughMrt) {
   EXPECT_EQ(rib.exact(P("198.51.100.0/24"))->origins,
             std::vector<Asn>{Asn(64496)});
   std::remove(path.c_str());
-}
-
-TEST(Rib, AddBgpdumpText) {
-  Rib rib;
-  std::istringstream in(
-      "TABLE_DUMP2|100|B|203.0.113.10|3356|213.210.33.0/24|3356 15169|IGP|"
-      "203.0.113.10|0|0||NAG||\n"
-      "BGP4MP|100|A|203.0.113.10|3356|10.0.0.0/8|3356 {64500,64501}|IGP|x|\n"
-      "BGP4MP|200|W|203.0.113.10|3356|10.0.0.0/8\n"
-      "TABLE_DUMP2|100|B|2001:db8::1|3356|2001:db8::/32|3356|IGP|x|\n");
-  auto merged = rib.add_bgpdump_text(in, "<test>");
-  ASSERT_TRUE(merged) << merged.error().to_string();
-  EXPECT_EQ(*merged, 2u) << "withdraw + IPv6 lines skipped";
-  EXPECT_EQ(rib.exact(P("213.210.33.0/24"))->origins,
-            std::vector<Asn>{Asn(15169)});
-  EXPECT_EQ(rib.exact(P("10.0.0.0/8"))->origins,
-            (std::vector<Asn>{Asn(64500), Asn(64501)}));
-}
-
-TEST(Rib, AddBgpdumpTextDamagedLineErrors) {
-  Rib rib;
-  std::istringstream in("TABLE_DUMP2|notatime|B|1.2.3.4|1|10.0.0.0/8|1|\n");
-  auto merged = rib.add_bgpdump_text(in, "<test>");
-  ASSERT_FALSE(merged);
-  EXPECT_EQ(merged.error().line, 1u);
 }
 
 TEST(Rib, AddFileMissing) {

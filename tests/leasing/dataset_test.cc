@@ -5,6 +5,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+
+#include "asgraph/as_graph.h"
+#include "leasing/pipeline.h"
+#include "leasing/report.h"
+#include "mrt/rib_file.h"
+#include "obs/metrics.h"
+#include "simnet/builder.h"
+#include "simnet/emit.h"
 
 namespace sublet::leasing {
 namespace {
@@ -103,6 +112,107 @@ TEST_F(DatasetLoader, CorruptMrtIsDiagnosedNotFatal) {
   auto bundle = load_dataset(dir_);
   EXPECT_EQ(bundle.rib.prefix_count(), 0u);
   EXPECT_FALSE(bundle.diagnostics.empty());
+}
+
+TEST_F(DatasetLoader, SkippedAddPathRecordIsCountedAndDiagnosed) {
+  write("whois/ripe.db",
+        "inetnum: 10.0.0.0 - 10.0.255.255\nstatus: ALLOCATED PA\n");
+  fs::create_directories(dir_ + "/bgp");
+  auto write_records = [&](const std::string& name, bool with_add_path) {
+    std::ofstream out(dir_ + "/bgp/" + name, std::ios::binary);
+    mrt::MrtWriter writer(out);
+    mrt::PeerIndexTable pit;
+    pit.peers = {{Ipv4Addr(1), Ipv4Addr(2), Asn(65000)}};
+    writer.write(1, mrt::MrtType::kTableDumpV2, 1,
+                 mrt::encode_peer_index_table(pit));
+    auto record = [&](const char* prefix, std::uint32_t origin) {
+      mrt::RibPrefixRecord rec;
+      rec.prefix = *Prefix::parse(prefix);
+      mrt::RibEntry entry;
+      entry.attributes.as_path.segments = {
+          {mrt::AsPathSegmentType::kAsSequence, {Asn(65000), Asn(origin)}}};
+      rec.entries = {entry};
+      writer.write(1, mrt::MrtType::kTableDumpV2, 2,
+                   mrt::encode_rib_ipv4_unicast(rec));
+    };
+    record("10.0.0.0/16", 64500);
+    if (with_add_path) {
+      // RIB_IPV4_UNICAST_ADDPATH (RFC 8050): not decoded, only counted.
+      writer.write(1, mrt::MrtType::kTableDumpV2, 8,
+                   std::vector<std::uint8_t>{0, 0, 0, 1, 16, 10, 0, 0, 0});
+    }
+    record("10.0.1.0/24", 64501);
+  };
+  write_records("rib.0.t0.mrt", /*with_add_path=*/true);
+
+  auto& skipped = obs::MetricsRegistry::global().counter(
+      "sublet_mrt_records_skipped_total{type=\"13\",subtype=\"8\"}");
+  std::uint64_t before = skipped.value();
+  auto bundle = load_dataset(dir_);
+  EXPECT_EQ(skipped.value(), before + 1);
+  ASSERT_EQ(bundle.diagnostics.size(), 1u);
+  EXPECT_NE(bundle.diagnostics[0].message.find("13/8"), std::string::npos)
+      << bundle.diagnostics[0].to_string();
+  EXPECT_EQ(bundle.diagnostics[0].source, dir_ + "/bgp/rib.0.t0.mrt");
+
+  // The RIB_IPV4_UNICAST records around it load exactly as without it.
+  write_records("rib.0.t0.mrt", /*with_add_path=*/false);
+  auto plain = load_dataset(dir_);
+  EXPECT_TRUE(plain.diagnostics.empty());
+  ASSERT_EQ(bundle.rib.prefix_count(), 2u);
+  ASSERT_EQ(plain.rib.prefix_count(), 2u);
+  for (const char* prefix : {"10.0.0.0/16", "10.0.1.0/24"}) {
+    const bgp::RouteInfo* got = bundle.rib.exact(*Prefix::parse(prefix));
+    const bgp::RouteInfo* want = plain.rib.exact(*Prefix::parse(prefix));
+    ASSERT_NE(got, nullptr) << prefix;
+    ASSERT_NE(want, nullptr) << prefix;
+    EXPECT_EQ(got->origins, want->origins) << prefix;
+    EXPECT_EQ(got->peer_observations, want->peer_observations) << prefix;
+  }
+  EXPECT_EQ(bundle.rib.exact(*Prefix::parse("10.0.1.0/24"))->origins,
+            std::vector<Asn>{Asn(64501)});
+}
+
+std::string classify_csv(const DatasetBundle& bundle, unsigned threads) {
+  asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
+  PipelineOptions options;
+  options.threads = threads;
+  Pipeline pipeline(bundle.rib, graph, options);
+  std::vector<LeaseInference> results;
+  for (const whois::WhoisDb& db : bundle.whois) {
+    auto partial = pipeline.classify(db);
+    results.insert(results.end(), partial.begin(), partial.end());
+  }
+  std::ostringstream csv;
+  write_inferences_csv(csv, results);
+  return csv.str();
+}
+
+TEST_F(DatasetLoader, ClassifyScopeSkipsUnreadPiecesAndKeepsTheCsv) {
+  sim::WorldConfig config;
+  config.seed = 11;
+  config.scale = 0.03;
+  sim::emit_world(sim::build_world(config), dir_);
+
+  auto full = load_dataset(dir_, {.threads = 1});
+  ASSERT_FALSE(full.geodbs.empty());
+  ASSERT_NE(full.current_vrps(), nullptr);
+  const std::string want = classify_csv(full, 1);
+  ASSERT_GT(want.size(), 1000u);
+
+  for (unsigned threads : {1u, 4u}) {
+    auto narrow = load_dataset(
+        dir_, {.threads = threads, .scope = DatasetScope::kClassify});
+    EXPECT_TRUE(narrow.geodbs.empty()) << "threads=" << threads;
+    EXPECT_EQ(narrow.current_vrps(), nullptr) << "threads=" << threads;
+    EXPECT_TRUE(narrow.rpki_archive.timestamps().empty());
+    EXPECT_EQ(narrow.transfers.size(), 0u);
+    EXPECT_EQ(narrow.drop.size(), 0u);
+    EXPECT_TRUE(narrow.brokers.empty());
+    EXPECT_EQ(narrow.rib.prefix_count(), full.rib.prefix_count());
+    EXPECT_TRUE(classify_csv(narrow, threads) == want)
+        << "inference CSV differs at threads=" << threads;
+  }
 }
 
 }  // namespace

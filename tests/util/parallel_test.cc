@@ -1,8 +1,12 @@
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -65,6 +69,43 @@ TEST(ThreadPool, ParallelModeRunsAllTasks) {
   pool.submit([&] { ++count; });
   pool.wait();
   EXPECT_EQ(count.load(), 101);
+}
+
+// Each worker of a pool is bound to one CPU, and two workers running at the
+// same time sit on different CPUs of the process's mask.
+TEST(ThreadPool, WorkersArePinnedToDistinctAllowedCpus) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 2) GTEST_SKIP() << "needs two allowed CPUs";
+
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<cpu_set_t> masks;
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&] {
+      cpu_set_t mine;
+      CPU_ZERO(&mine);
+      pthread_getaffinity_np(pthread_self(), sizeof(mine), &mine);
+      std::unique_lock<std::mutex> lock(mu);
+      masks.push_back(mine);
+      // Hold this worker until the other task started on the other one.
+      ++started;
+      cv.notify_all();
+      cv.wait(lock, [&] { return started == 2; });
+    });
+  }
+  pool.wait();
+  ASSERT_EQ(masks.size(), 2u);
+  for (cpu_set_t& mask : masks) {
+    EXPECT_EQ(CPU_COUNT(&mask), 1);
+    cpu_set_t inside;
+    CPU_AND(&inside, &mask, &allowed);
+    EXPECT_TRUE(CPU_EQUAL(&inside, &mask));
+  }
+  EXPECT_FALSE(CPU_EQUAL(&masks[0], &masks[1]));
 }
 
 // ------------------------------------------------------ parallel_for ------

@@ -128,8 +128,10 @@ struct LoadedRun {
   asgraph::AsGraph graph;
   std::vector<leasing::LeaseInference> results;
 
-  explicit LoadedRun(const std::string& dir)
-      : bundle(leasing::load_dataset(dir)),
+  explicit LoadedRun(
+      const std::string& dir,
+      leasing::DatasetScope scope = leasing::DatasetScope::kAll)
+      : bundle(leasing::load_dataset(dir, {.scope = scope})),
         graph(&bundle.as_rel, &bundle.as2org) {
     leasing::Pipeline pipeline(bundle.rib, graph);
     for (const whois::WhoisDb& db : bundle.whois) {
@@ -172,11 +174,13 @@ int cmd_infer(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  LoadedRun run(args[0]);
+  LoadedRun run(args[0], leasing::DatasetScope::kClassify);
   auto counts = leasing::Pipeline::count_groups(run.results);
   std::cout << "classified " << with_commas(counts.total())
             << " sub-allocations; " << with_commas(counts.leased())
             << " inferred leased\n";
+  obs::ScopedSpan csv_span("csv.write");
+  csv_span.add_records(run.results.size());
   if (out_path) {
     leasing::save_inferences_csv(*out_path, run.results);
     std::cout << "inferences written to " << *out_path << "\n";
@@ -188,7 +192,8 @@ int cmd_infer(const std::vector<std::string>& args) {
 
 int cmd_explain(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
-  leasing::DatasetBundle bundle = leasing::load_dataset(args[0]);
+  leasing::DatasetBundle bundle = leasing::load_dataset(
+      args[0], {.scope = leasing::DatasetScope::kClassify});
   asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
   leasing::Pipeline pipeline(bundle.rib, graph);
   for (std::size_t i = 1; i < args.size(); ++i) {
