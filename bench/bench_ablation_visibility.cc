@@ -45,12 +45,7 @@ int main() {
         }
       }
     }
-    leasing::Pipeline pipeline(rib, graph);
-    std::vector<leasing::LeaseInference> results;
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto partial = pipeline.classify(db);
-      results.insert(results.end(), partial.begin(), partial.end());
-    }
+    auto results = leasing::Pipeline(rib, graph).classify(bundle.whois);
     auto counts = leasing::Pipeline::count_groups(results);
 
     std::size_t tp = 0, fp = 0, truth_active = 0;

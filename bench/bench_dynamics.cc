@@ -17,13 +17,7 @@ namespace {
 std::vector<leasing::LeaseInference> classify_dir(const std::string& dir) {
   auto bundle = leasing::load_dataset(dir);
   asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
-  leasing::Pipeline pipeline(bundle.rib, graph);
-  std::vector<leasing::LeaseInference> results;
-  for (const whois::WhoisDb& db : bundle.whois) {
-    auto partial = pipeline.classify(db);
-    results.insert(results.end(), partial.begin(), partial.end());
-  }
-  return results;
+  return leasing::Pipeline(bundle.rib, graph).classify(bundle.whois);
 }
 
 }  // namespace

@@ -21,17 +21,18 @@ int main() {
   }
 
   const whois::WhoisDb* ripe = run.bundle.db_for(whois::Rir::kRipe);
+  const auto tree = whois::AllocationTree::build(*ripe);
   leasing::Pipeline pipeline(run.bundle.rib, run.graph);
   for (const auto* example : {g4, g3}) {
     if (!example) continue;
-    std::cout << pipeline.explain(example->prefix, *ripe) << "\n";
+    std::cout << pipeline.explain(example->prefix, tree, *ripe) << "\n";
   }
 
   // And one non-lease for contrast.
   for (const auto& r : run.results) {
     if (r.rir == whois::Rir::kRipe &&
         r.group == leasing::InferenceGroup::kIspCustomer) {
-      std::cout << pipeline.explain(r.prefix, *ripe) << "\n";
+      std::cout << pipeline.explain(r.prefix, tree, *ripe) << "\n";
       break;
     }
   }

@@ -85,11 +85,8 @@ struct FullRun {
         truth(sim::GroundTruth::load(dir)),
         graph(&bundle.as_rel, &bundle.as2org, relatedness) {
     auto start = std::chrono::steady_clock::now();
-    leasing::Pipeline pipeline(bundle.rib, graph, options);
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto partial = pipeline.classify(db);
-      results.insert(results.end(), partial.begin(), partial.end());
-    }
+    results = leasing::Pipeline(bundle.rib, graph, options)
+                  .classify(bundle.whois);
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -48,13 +48,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<whois::AllocationTree> trees;
+  for (const whois::WhoisDb& db : bundle.whois) {
+    trees.push_back(whois::AllocationTree::build(db));
+  }
   for (const Prefix& prefix : targets) {
     // Find the RIR whose allocation tree contains the prefix.
     bool found = false;
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto tree = whois::AllocationTree::build(db);
-      if (!tree.root_of(prefix)) continue;
-      std::cout << pipeline.explain(prefix, db) << "\n";
+    for (std::size_t r = 0; r < bundle.whois.size(); ++r) {
+      if (!trees[r].root_of(prefix)) continue;
+      std::cout << pipeline.explain(prefix, trees[r], bundle.whois[r]) << "\n";
       found = true;
       break;
     }

@@ -23,11 +23,8 @@ int main(int argc, char** argv) {
   asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
   leasing::Pipeline pipeline(bundle.rib, graph);
 
-  std::vector<leasing::LeaseInference> results;
-  for (const whois::WhoisDb& db : bundle.whois) {
-    auto partial = pipeline.classify(db);
-    results.insert(results.end(), partial.begin(), partial.end());
-  }
+  std::vector<leasing::LeaseInference> results =
+      pipeline.classify(bundle.whois);
   leasing::Ecosystem eco(results, &bundle.as2org);
 
   std::cout << "=== IP leasing market report ===\n\n";

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
+
 namespace sublet::bgp {
 
 bool RouteInfo::originated_by(Asn asn) const {
@@ -84,54 +86,60 @@ struct RunCursor {
 
 void Rib::freeze() {
   if (!pending_.empty()) {
-    if (!trie_.empty()) {
-      // Carry the table an earlier freeze built into this merge.
-      mrt::OriginRun built;
-      trie_.visit([&](const Prefix& prefix, const RouteInfo& info) {
-        built.add(prefix, info.peer_observations, info.origins);
-      });
-      pending_.push_back(std::move(built));
-    }
-    // k-way merge of the runs by prefix: each distinct prefix gets the
-    // union of its origin slices and the sum of its entry counts.
-    std::vector<RunCursor> cursors;
-    std::size_t largest = 0;
-    for (const mrt::OriginRun& run : pending_) {
-      cursors.emplace_back(run);
-      largest = std::max(largest, run.records.size());
-    }
     std::vector<std::pair<Prefix, RouteInfo>> entries;
-    entries.reserve(largest);
-    std::vector<Asn> origins;
-    for (;;) {
-      const RunCursor* lowest = nullptr;
-      for (const RunCursor& c : cursors) {
-        if (!c.done() && (!lowest || c.prefix() < lowest->prefix())) {
-          lowest = &c;
+    {
+      obs::ScopedSpan merge_span("rib.merge");
+      if (!trie_.empty()) {
+        // Carry the table an earlier freeze built into this merge.
+        mrt::OriginRun built;
+        trie_.visit([&](const Prefix& prefix, const RouteInfo& info) {
+          built.add(prefix, info.peer_observations, info.origins);
+        });
+        pending_.push_back(std::move(built));
+      }
+      // k-way merge of the runs by prefix: each distinct prefix gets the
+      // union of its origin slices and the sum of its entry counts.
+      std::vector<RunCursor> cursors;
+      std::size_t largest = 0;
+      for (const mrt::OriginRun& run : pending_) {
+        cursors.emplace_back(run);
+        largest = std::max(largest, run.records.size());
+      }
+      entries.reserve(largest);
+      std::vector<Asn> origins;
+      for (;;) {
+        const RunCursor* lowest = nullptr;
+        for (const RunCursor& c : cursors) {
+          if (!c.done() && (!lowest || c.prefix() < lowest->prefix())) {
+            lowest = &c;
+          }
         }
-      }
-      if (!lowest) break;
-      const Prefix prefix = lowest->prefix();
-      RouteInfo info;
-      origins.clear();
-      int slices = 0;
-      for (RunCursor& c : cursors) {
-        for (; !c.done() && c.prefix() == prefix; ++c.next, ++slices) {
-          auto slice = c.run->origins_of(c.record());
-          origins.insert(origins.end(), slice.begin(), slice.end());
-          info.peer_observations += c.run->records[c.record()].entries;
+        if (!lowest) break;
+        const Prefix prefix = lowest->prefix();
+        RouteInfo info;
+        origins.clear();
+        int slices = 0;
+        for (RunCursor& c : cursors) {
+          for (; !c.done() && c.prefix() == prefix; ++c.next, ++slices) {
+            auto slice = c.run->origins_of(c.record());
+            origins.insert(origins.end(), slice.begin(), slice.end());
+            info.peer_observations += c.run->records[c.record()].entries;
+          }
         }
+        if (slices > 1) {  // each slice alone is already sorted and distinct
+          std::sort(origins.begin(), origins.end());
+          origins.erase(std::unique(origins.begin(), origins.end()),
+                        origins.end());
+        }
+        info.origins.assign(origins.begin(), origins.end());
+        entries.emplace_back(prefix, std::move(info));
       }
-      if (slices > 1) {  // each slice alone is already sorted and distinct
-        std::sort(origins.begin(), origins.end());
-        origins.erase(std::unique(origins.begin(), origins.end()),
-                      origins.end());
-      }
-      info.origins.assign(origins.begin(), origins.end());
-      entries.emplace_back(prefix, std::move(info));
+      pending_ = {};
+      merge_span.add_records(entries.size());
     }
-    pending_ = {};
+    obs::ScopedSpan trie_span("rib.trie");
     trie_ = PrefixTrie<RouteInfo>::freeze(std::move(entries));
+    trie_span.add_records(trie_.size());
   }
   finalized_.store(true, std::memory_order_release);
 }

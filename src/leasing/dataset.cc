@@ -74,6 +74,12 @@ void fix_mmap_threshold() {
 
 }  // namespace
 
+HeapRelease::~HeapRelease() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 DatasetBundle load_dataset(const std::string& dir, LoadOptions options) {
   if (!fs::is_directory(dir)) {
     throw std::runtime_error("dataset directory missing: " + dir);

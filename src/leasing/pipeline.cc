@@ -1,5 +1,6 @@
 #include "leasing/pipeline.h"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 
@@ -130,29 +131,67 @@ LeaseInference Pipeline::classify_leaf(const whois::AllocEntry& leaf,
   return out;
 }
 
-std::vector<LeaseInference> Pipeline::classify(const whois::WhoisDb& db) const {
+std::vector<LeaseInference> Pipeline::classify(
+    std::span<const whois::WhoisDb> dbs) const {
   obs::ScopedSpan span("classify");
-  auto tree = whois::AllocationTree::build(db, options_.alloc);
-  SUBLET_LOG(kInfo) << rir_name(db.rir()) << ": " << tree.roots().size()
-                    << " roots, " << tree.leaves().size() << " leaves ("
-                    << tree.skipped_hyper_specific() << " hyper-specific, "
-                    << tree.skipped_legacy() << " legacy skipped)";
-  std::vector<whois::AllocEntry> candidates;
-  candidates.reserve(tree.leaves().size());
-  for (const auto& leaf : tree.leaves()) {
-    // A leaf that is also a root is portable space with no sub-allocation:
-    // there is no provider/customer split to judge, so it is not a lease
-    // candidate (paper only classifies non-portable leaves).
-    if (leaf.second->portability == whois::Portability::kPortable) continue;
-    candidates.push_back(leaf);
+  // The trees are independent: build them all at once, each task also
+  // listing its tree's lease candidates. Pool threads have no open span of
+  // their own, so hand them this one as the parent.
+  const obs::SpanId span_id = span.id();
+  struct Job {
+    const whois::AllocEntry* leaf;
+    std::size_t db;
+  };
+  std::vector<whois::AllocationTree> trees(dbs.size());
+  std::vector<std::vector<Job>> jobs_by_db(dbs.size());
+  {
+    // No more workers than trees, and at least one (0 means "default").
+    par::TaskGroup group(static_cast<unsigned>(std::clamp<std::size_t>(
+        dbs.size(), 1, par::resolve_threads(options_.threads))));
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+      group.run([&, i] {
+        trees[i] =
+            whois::AllocationTree::build(dbs[i], options_.alloc, span_id);
+        for (const whois::AllocEntry& leaf : trees[i].leaves()) {
+          // A leaf that is also a root is portable space with no
+          // sub-allocation: there is no provider/customer split to judge,
+          // so it is not a lease candidate (paper only classifies
+          // non-portable leaves).
+          if (leaf.second->portability == whois::Portability::kPortable) {
+            continue;
+          }
+          jobs_by_db[i].push_back({&leaf, i});
+        }
+      });
+    }
+    group.wait();
   }
-  // Each leaf only reads rib_/graph_/db/tree; parallel_map keeps the
-  // documented leaf-address-order output, so results are byte-identical
-  // to a serial run at any thread count.
-  auto results = par::parallel_map(
-      candidates,
-      [&](const whois::AllocEntry& leaf) {
-        return classify_leaf(leaf, tree, db);
+
+  // One job list over every tree, in database order then leaf address
+  // order, so one parallel pass writes each result into its final slot.
+  std::size_t total = 0;
+  for (const std::vector<Job>& part : jobs_by_db) total += part.size();
+  std::vector<Job> jobs;
+  jobs.reserve(total);
+  for (std::size_t i = 0; i < dbs.size(); ++i) {
+    const whois::AllocationTree& tree = trees[i];
+    SUBLET_LOG(kInfo) << rir_name(dbs[i].rir()) << ": " << tree.roots().size()
+                      << " roots, " << tree.leaves().size() << " leaves ("
+                      << tree.skipped_hyper_specific() << " hyper-specific, "
+                      << tree.skipped_legacy() << " legacy skipped)";
+    jobs.insert(jobs.end(), jobs_by_db[i].begin(), jobs_by_db[i].end());
+  }
+  // Each leaf only reads rib_/graph_/its db and tree, and writes only its
+  // own slot, so results are byte-identical to a serial run at any thread
+  // count.
+  std::vector<LeaseInference> results(jobs.size());
+  par::parallel_for(
+      jobs.size(), 0,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const Job& job = jobs[i];
+          results[i] = classify_leaf(*job.leaf, trees[job.db], dbs[job.db]);
+        }
       },
       options_.threads);
   // One aggregation pass instead of a relaxed add per leaf on the hot path.
@@ -165,6 +204,10 @@ std::vector<LeaseInference> Pipeline::classify(const whois::WhoisDb& db) const {
   }
   span.add_records(results.size());
   return results;
+}
+
+std::vector<LeaseInference> Pipeline::classify(const whois::WhoisDb& db) const {
+  return classify(std::span<const whois::WhoisDb>(&db, 1));
 }
 
 GroupCounts Pipeline::count_groups(const std::vector<LeaseInference>& results) {
@@ -184,8 +227,8 @@ std::string asn_list(const std::vector<Asn>& asns) {
 }  // namespace
 
 std::string Pipeline::explain(const Prefix& prefix,
+                              const whois::AllocationTree& tree,
                               const whois::WhoisDb& db) const {
-  auto tree = whois::AllocationTree::build(db, options_.alloc);
   const whois::InetBlock* block = tree.find(prefix);
   if (!block) {
     return prefix.to_string() + ": not present in the " +

@@ -15,6 +15,7 @@
 //                                      LEASED (group 4)
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,9 +34,11 @@ struct PipelineOptions {
   /// consecutive portable blocks). Ablation knob.
   bool root_covering_fallback = true;
   /// Worker threads for classify(): 0 = process default (--threads),
-  /// 1 = serial. Leaf classification only reads the RIB, the AS graph and
-  /// the WhoisDb, and the output contract (leaf address order) is kept
-  /// byte-identical across thread counts.
+  /// 1 = serial. One call builds every database's allocation tree
+  /// concurrently, then classifies the leaves of all of them in one
+  /// parallel pass; a leaf only reads the RIB, the AS graph, its WhoisDb
+  /// and its tree, and the output order (database order, then leaf
+  /// address order) is byte-identical across thread counts.
   unsigned threads = 0;
 };
 
@@ -62,8 +65,12 @@ class Pipeline {
   Pipeline(const bgp::Rib& rib, const asgraph::AsGraph& graph,
            PipelineOptions options = {});
 
-  /// Classify every leaf of `db`'s allocation tree. Results are appended
-  /// in leaf address order.
+  /// Classify every non-portable leaf of each database's allocation tree.
+  /// Results come in database order, then leaf address order within one
+  /// database: the concatenation of classify(db) over `dbs`.
+  std::vector<LeaseInference> classify(
+      std::span<const whois::WhoisDb> dbs) const;
+  /// One database: classify(std::span(&db, 1)).
   std::vector<LeaseInference> classify(const whois::WhoisDb& db) const;
 
   /// Classify a single leaf given its allocation tree (used by explain and
@@ -73,7 +80,10 @@ class Pipeline {
                                const whois::WhoisDb& db) const;
 
   /// Figure-2-style narration of why a prefix received its verdict.
-  std::string explain(const Prefix& prefix, const whois::WhoisDb& db) const;
+  /// `tree` is `db`'s allocation tree; a caller explaining many prefixes
+  /// builds it once.
+  std::string explain(const Prefix& prefix, const whois::AllocationTree& tree,
+                      const whois::WhoisDb& db) const;
 
   static GroupCounts count_groups(const std::vector<LeaseInference>& results);
 

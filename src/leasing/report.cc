@@ -1,5 +1,7 @@
 #include "leasing/report.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,13 +12,6 @@
 namespace sublet::leasing {
 
 namespace {
-
-std::string join_asns(const std::vector<Asn>& asns) {
-  std::vector<std::string> parts;
-  parts.reserve(asns.size());
-  for (Asn asn : asns) parts.push_back(std::to_string(asn.value()));
-  return join(parts, " ");
-}
 
 Expected<std::vector<Asn>> parse_asns(std::string_view field,
                                       std::size_t line) {
@@ -57,29 +52,122 @@ void split_fields(std::string_view line, std::vector<std::string>& unquoted,
   }
 }
 
+/// True when CsvWriter would quote `text`. A plain loop: find_first_of
+/// with a character set costs a memchr per character.
+bool needs_quoting(std::string_view text) {
+  for (char c : text) {
+    if (c == ',' || c == '"' || c == '\r' || c == '\n') return true;
+  }
+  return false;
+}
+
+/// Renders rows straight into one reusable buffer and hands it to the
+/// stream whenever a row leaves it holding kFlushBytes or more, so memory
+/// stays flat however many rows there are; flush() hands over the rest.
+/// Quoting follows CsvWriter: a field with a comma, quote, CR or LF is
+/// quoted, its quotes doubled.
+class RowWriter {
+ public:
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+
+  explicit RowWriter(std::ostream& out) : out_(out) {
+    buf_.reserve(kFlushBytes + 4096);
+  }
+
+  void field(std::string_view text) {
+    separate();
+    if (!needs_quoting(text)) {
+      buf_.append(text);
+      return;
+    }
+    buf_.push_back('"');
+    for (char c : text) {
+      if (c == '"') buf_.push_back('"');
+      buf_.push_back(c);
+    }
+    buf_.push_back('"');
+  }
+
+  void field(const Prefix& prefix) {
+    separate();
+    prefix.append_to(buf_);
+  }
+
+  /// Space-separated ASN numbers (digits only: never quoted).
+  void field(const std::vector<Asn>& asns) {
+    separate();
+    for (std::size_t i = 0; i < asns.size(); ++i) {
+      if (i) buf_.push_back(' ');
+      char text[10];  // "4294967295"
+      buf_.append(text, std::to_chars(text, text + sizeof text,
+                                      asns[i].value()).ptr);
+    }
+  }
+
+  /// Handles joined by spaces, quoted as one field when any needs it.
+  void field(const std::vector<std::string>& handles) {
+    if (std::any_of(handles.begin(), handles.end(), [](const auto& h) {
+          return needs_quoting(h);
+        })) {
+      field(join(handles, " "));
+      return;
+    }
+    separate();
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      if (i) buf_.push_back(' ');
+      buf_.append(handles[i]);
+    }
+  }
+
+  void end_row() {
+    buf_.push_back('\n');
+    first_ = true;
+    if (buf_.size() >= kFlushBytes) flush();
+  }
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  void separate() {
+    if (!first_) buf_.push_back(',');
+    first_ = false;
+  }
+
+  std::ostream& out_;
+  std::string buf_;
+  bool first_ = true;
+};
+
 }  // namespace
 
 void write_inferences_csv(std::ostream& out,
                           const std::vector<LeaseInference>& inferences) {
-  CsvWriter csv(out);
-  csv.write_row({"prefix", "rir", "group", "leased", "root_prefix",
-                 "holder_org", "holder_asns", "leaf_origins", "root_origins",
-                 "facilitators", "netname"});
-  for (const LeaseInference& r : inferences) {
-    csv.write_row({
-        r.prefix.to_string(),
-        std::string(rir_name(r.rir)),
-        std::string(group_name(r.group)),
-        r.leased() ? "1" : "0",
-        r.root_prefix.to_string(),
-        r.holder_org,
-        join_asns(r.holder_asns),
-        join_asns(r.leaf_origins),
-        join_asns(r.root_origins),
-        join(r.leaf_maintainers, " "),
-        r.netname,
-    });
+  RowWriter row(out);
+  for (std::string_view name :
+       {"prefix", "rir", "group", "leased", "root_prefix", "holder_org",
+        "holder_asns", "leaf_origins", "root_origins", "facilitators",
+        "netname"}) {
+    row.field(name);
   }
+  row.end_row();
+  for (const LeaseInference& r : inferences) {
+    row.field(r.prefix);
+    row.field(rir_name(r.rir));
+    row.field(group_name(r.group));
+    row.field(r.leased() ? "1" : "0");
+    row.field(r.root_prefix);
+    row.field(r.holder_org);
+    row.field(r.holder_asns);
+    row.field(r.leaf_origins);
+    row.field(r.root_origins);
+    row.field(r.leaf_maintainers);
+    row.field(r.netname);
+    row.end_row();
+  }
+  row.flush();
 }
 
 void save_inferences_csv(const std::string& path,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -35,13 +36,19 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) {
   return Ipv4Addr(value);
 }
 
+void Ipv4Addr::append_to(std::string& out) const {
+  char text[15];  // "255.255.255.255"
+  char* end = text;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    if (shift != 24) *end++ = '.';
+    end = std::to_chars(end, text + sizeof text, (value_ >> shift) & 0xFF).ptr;
+  }
+  out.append(text, end);
+}
+
 std::string Ipv4Addr::to_string() const {
   std::string out;
-  out.reserve(15);
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    if (shift != 24) out.push_back('.');
-    out += std::to_string((value_ >> shift) & 0xFF);
-  }
+  append_to(out);
   return out;
 }
 
@@ -63,8 +70,18 @@ std::optional<Prefix> Prefix::parse(std::string_view text, bool canonicalize) {
   return canonical;
 }
 
+void Prefix::append_to(std::string& out) const {
+  network_.append_to(out);
+  char text[3];  // "/0".."/32" without the slash
+  char* end = std::to_chars(text, text + sizeof text, length_).ptr;
+  out.push_back('/');
+  out.append(text, end);
+}
+
 std::string Prefix::to_string() const {
-  return network_.to_string() + '/' + std::to_string(length_);
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 std::optional<AddrRange> AddrRange::parse(std::string_view text) {

@@ -26,6 +26,8 @@ class Ipv4Addr {
   /// Parse dotted-quad. Rejects octets > 255, missing octets, junk.
   static std::optional<Ipv4Addr> parse(std::string_view text);
 
+  /// Append the dotted quad to `out`; to_string() is this into a new string.
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
   friend constexpr auto operator<=>(Ipv4Addr, Ipv4Addr) = default;
@@ -75,6 +77,8 @@ class Prefix {
     return other.length_ >= length_ && contains(other.network_);
   }
 
+  /// Append "a.b.c.d/len" to `out`; to_string() is this into a new string.
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
   /// Ordering: by network address, then by length (less specific first).

@@ -5,8 +5,9 @@
 
 namespace sublet::whois {
 
-AllocationTree AllocationTree::build(const WhoisDb& db, AllocOptions options) {
-  obs::ScopedSpan span("alloc_tree.build");
+AllocationTree AllocationTree::build(const WhoisDb& db, AllocOptions options,
+                                     obs::SpanId parent) {
+  obs::ScopedSpan span("alloc_tree.build", parent);
   AllocationTree tree;
   // Collect (prefix, block) pairs in parse order and bulk-build the trie in
   // one freeze() pass. freeze() keeps the last occurrence of a duplicate

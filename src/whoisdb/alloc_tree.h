@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "netbase/prefix_trie.h"
+#include "obs/trace.h"
 #include "whoisdb/model.h"
 
 namespace sublet::whois {
@@ -33,8 +34,10 @@ class AllocationTree {
   /// Build from a parsed database. Blocks whose range is invalid are
   /// skipped. When two blocks map to the same prefix the more recently
   /// parsed one wins (mirrors databases where a re-registration shadows a
-  /// stale object).
-  static AllocationTree build(const WhoisDb& db, AllocOptions options = {});
+  /// stale object). The build's trace span nests under `parent`: by
+  /// default the calling thread's open span, which a pool thread lacks.
+  static AllocationTree build(const WhoisDb& db, AllocOptions options = {},
+                              obs::SpanId parent = obs::Tracer::current());
 
   /// Structural roots: entries with no covering entry. Paper: portable
   /// blocks directly allocated by the RIR.

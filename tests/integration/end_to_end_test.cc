@@ -41,11 +41,8 @@ class EndToEnd : public testing::Test {
 
     graph_ = new asgraph::AsGraph(&bundle_->as_rel, &bundle_->as2org);
     leasing::Pipeline pipeline(bundle_->rib, *graph_);
-    results_ = new std::vector<leasing::LeaseInference>();
-    for (const whois::WhoisDb& db : bundle_->whois) {
-      auto partial = pipeline.classify(db);
-      results_->insert(results_->end(), partial.begin(), partial.end());
-    }
+    results_ = new std::vector<leasing::LeaseInference>(
+        pipeline.classify(bundle_->whois));
   }
 
   static void TearDownTestSuite() {

@@ -8,15 +8,18 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "asgraph/as_graph.h"
 #include "leasing/dataset.h"
 #include "leasing/pipeline.h"
 #include "leasing/report.h"
+#include "obs/metrics.h"
 #include "simnet/builder.h"
 #include "simnet/emit.h"
 
@@ -97,11 +100,8 @@ TEST(ParallelDeterminism, ClassifyCsvByteIdenticalAcrossThreadCounts) {
     options.threads = threads;
     leasing::Pipeline pipeline(bundle.rib, graph, options);
 
-    std::vector<leasing::LeaseInference> results;
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto partial = pipeline.classify(db);
-      results.insert(results.end(), partial.begin(), partial.end());
-    }
+    std::vector<leasing::LeaseInference> results =
+        pipeline.classify(bundle.whois);
     std::ostringstream csv;
     leasing::write_inferences_csv(csv, results);
     ASSERT_GT(csv.str().size(), 1000u) << "threads=" << threads;
@@ -111,6 +111,71 @@ TEST(ParallelDeterminism, ClassifyCsvByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(csv.str() == serial_csv, true)
           << "inference CSV differs at threads=" << threads;
     }
+  }
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+/// Current sublet_classify_leaves_total{group} values, in group order.
+std::vector<std::uint64_t> classify_counters() {
+  std::vector<std::uint64_t> out;
+  for (leasing::InferenceGroup group : leasing::kAllInferenceGroups) {
+    out.push_back(obs::MetricsRegistry::global()
+                      .counter(obs::labeled("sublet_classify_leaves_total",
+                                            "group",
+                                            leasing::group_name(group)))
+                      .value());
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> minus(const std::vector<std::uint64_t>& after,
+                                 const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> out(after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) out[i] = after[i] - before[i];
+  return out;
+}
+
+TEST(ParallelDeterminism, AllDatabasesClassifyAsPerRirConcatenation) {
+  std::string dir = scratch_dir("span");
+  fs::remove_all(dir);
+  sim::emit_world(small_world(), dir);
+  auto bundle = leasing::load_dataset(dir);
+  asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
+  ASSERT_GT(bundle.whois.size(), 1u);
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    leasing::PipelineOptions options;
+    options.threads = threads;
+    leasing::Pipeline pipeline(bundle.rib, graph, options);
+
+    auto before = classify_counters();
+    std::vector<leasing::LeaseInference> concatenated;
+    for (const whois::WhoisDb& db : bundle.whois) {
+      auto partial = pipeline.classify(db);
+      std::move(partial.begin(), partial.end(),
+                std::back_inserter(concatenated));
+    }
+    auto per_rir_delta = minus(classify_counters(), before);
+
+    before = classify_counters();
+    auto all = pipeline.classify(bundle.whois);
+    auto all_delta = minus(classify_counters(), before);
+
+    ASSERT_GT(all.size(), 1000u) << "threads=" << threads;
+    ASSERT_EQ(all.size(), concatenated.size()) << "threads=" << threads;
+    auto fields = [](const leasing::LeaseInference& r) {
+      return std::tie(r.prefix, r.rir, r.group, r.root_prefix, r.holder_org,
+                      r.holder_asns, r.leaf_origins, r.root_origins,
+                      r.leaf_maintainers, r.root_maintainers, r.netname);
+    };
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (fields(all[i]) != fields(concatenated[i])) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
+    EXPECT_EQ(all_delta, per_rir_delta) << "threads=" << threads;
   }
 
   std::error_code ec;

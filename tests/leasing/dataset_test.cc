@@ -178,11 +178,7 @@ std::string classify_csv(const DatasetBundle& bundle, unsigned threads) {
   PipelineOptions options;
   options.threads = threads;
   Pipeline pipeline(bundle.rib, graph, options);
-  std::vector<LeaseInference> results;
-  for (const whois::WhoisDb& db : bundle.whois) {
-    auto partial = pipeline.classify(db);
-    results.insert(results.end(), partial.begin(), partial.end());
-  }
+  std::vector<LeaseInference> results = pipeline.classify(bundle.whois);
   std::ostringstream csv;
   write_inferences_csv(csv, results);
   return csv.str();

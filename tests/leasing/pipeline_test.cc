@@ -153,7 +153,8 @@ TEST(Pipeline, ExplainNarratesFigure2) {
   Fixture f;
   auto graph = f.graph();
   Pipeline pipeline(f.rib, graph);
-  std::string text = pipeline.explain(P("213.210.33.0/24"), f.db);
+  auto tree = whois::AllocationTree::build(f.db);
+  std::string text = pipeline.explain(P("213.210.33.0/24"), tree, f.db);
   EXPECT_NE(text.find("IPXO-MNT"), std::string::npos);
   EXPECT_NE(text.find("ORG-GCI1-RIPE"), std::string::npos);
   EXPECT_NE(text.find("AS8851"), std::string::npos);
@@ -166,7 +167,8 @@ TEST(Pipeline, ExplainUnknownPrefix) {
   Fixture f;
   auto graph = f.graph();
   Pipeline pipeline(f.rib, graph);
-  std::string text = pipeline.explain(P("8.8.8.0/24"), f.db);
+  auto tree = whois::AllocationTree::build(f.db);
+  std::string text = pipeline.explain(P("8.8.8.0/24"), tree, f.db);
   EXPECT_NE(text.find("not present"), std::string::npos);
 }
 

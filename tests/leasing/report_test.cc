@@ -4,6 +4,12 @@
 
 #include <random>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
+
+#include "util/csv.h"
+#include "util/strings.h"
 
 namespace sublet::leasing {
 namespace {
@@ -132,6 +138,117 @@ TEST(Report, RandomStringsSurviveRoundTrip) {
           << "trial " << trial;
     }
   }
+}
+
+/// The rendering write_inferences_csv had when it built every field as a
+/// string and handed the row to CsvWriter: the oracle for the buffered
+/// writer.
+std::string oracle_csv(const std::vector<LeaseInference>& inferences) {
+  auto join_asns = [](const std::vector<Asn>& asns) {
+    std::vector<std::string> parts;
+    for (Asn asn : asns) parts.push_back(std::to_string(asn.value()));
+    return join(parts, " ");
+  };
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.write_row({"prefix", "rir", "group", "leased", "root_prefix",
+                 "holder_org", "holder_asns", "leaf_origins", "root_origins",
+                 "facilitators", "netname"});
+  for (const LeaseInference& r : inferences) {
+    csv.write_row({
+        r.prefix.to_string(),
+        std::string(rir_name(r.rir)),
+        std::string(group_name(r.group)),
+        r.leased() ? "1" : "0",
+        r.root_prefix.to_string(),
+        r.holder_org,
+        join_asns(r.holder_asns),
+        join_asns(r.leaf_origins),
+        join_asns(r.root_origins),
+        join(r.leaf_maintainers, " "),
+        r.netname,
+    });
+  }
+  return out.str();
+}
+
+/// Collects what the writer hands the stream, one entry per write.
+class RecordingBuf : public std::streambuf {
+ public:
+  std::string text;
+  std::vector<std::size_t> writes;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text.append(s, static_cast<std::size_t>(n));
+    writes.push_back(static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      text.push_back(traits_type::to_char_type(c));
+      writes.push_back(1);
+    }
+    return c;
+  }
+};
+
+TEST(Report, WriterMatchesCsvWriterOracle) {
+  std::mt19937 rng(0x5EED1u);
+  const std::string alphabet = "abcXYZ019 -_.,\"\r\n";
+  std::uniform_int_distribution<std::size_t> pick(0, alphabet.size() - 1);
+  std::uniform_int_distribution<std::size_t> len(0, 20);
+  std::uniform_int_distribution<std::uint32_t> any32;
+  std::uniform_int_distribution<int> small(0, 3);
+  auto text = [&] {
+    std::string s(len(rng), '\0');
+    for (char& c : s) c = alphabet[pick(rng)];
+    return s;
+  };
+  auto asns = [&] {
+    std::vector<Asn> out;
+    for (int i = small(rng); i > 0; --i) {
+      switch (small(rng)) {
+        case 0: out.push_back(Asn(0)); break;
+        case 1: out.push_back(Asn(4294967295u)); break;
+        default: out.push_back(Asn(any32(rng))); break;
+      }
+    }
+    return out;
+  };
+  const Prefix edges[] = {P("0.0.0.0/0"), P("255.255.255.255/32")};
+
+  std::vector<LeaseInference> rows;
+  std::size_t expected_bytes = 0;
+  while (expected_bytes < (std::size_t{7} << 19)) {  // > 3 MiB of rows
+    LeaseInference r;
+    std::size_t i = rows.size();
+    r.prefix = i < 2 ? edges[i]
+                     : *Prefix::make(Ipv4Addr(any32(rng)), small(rng) * 8 + 8);
+    r.root_prefix = i < 2 ? edges[1 - i] : *Prefix::make(r.prefix.network(), 8);
+    r.rir = whois::kAllRirs[i % whois::kAllRirs.size()];
+    r.group = kAllInferenceGroups[i % kAllInferenceGroups.size()];
+    r.holder_org = text();
+    r.netname = text();
+    for (int m = small(rng); m > 0; --m) r.leaf_maintainers.push_back(text());
+    r.holder_asns = asns();
+    r.leaf_origins = asns();
+    r.root_origins = asns();
+    expected_bytes += 60 + r.holder_org.size() + r.netname.size();
+    rows.push_back(std::move(r));
+  }
+  const std::string expected = oracle_csv(rows);
+  ASSERT_GT(expected.size(), std::size_t{3} << 20);
+
+  RecordingBuf buf;
+  std::ostream out(&buf);
+  write_inferences_csv(out, rows);
+  ASSERT_EQ(buf.text.size(), expected.size());
+  EXPECT_TRUE(buf.text == expected) << "buffered rendering differs";
+  // The buffer is flushed as it fills instead of growing with the file:
+  // several writes, none much over 1 MiB.
+  EXPECT_GE(buf.writes.size(), 3u);
+  for (std::size_t n : buf.writes) EXPECT_LE(n, (std::size_t{1} << 20) + 4096);
 }
 
 TEST(Report, RejectsBadContent) {

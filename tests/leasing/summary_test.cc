@@ -24,11 +24,7 @@ TEST(Summary, RendersAllSections) {
   auto bundle = load_dataset(dir);
   asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
   Pipeline pipeline(bundle.rib, graph);
-  std::vector<LeaseInference> results;
-  for (const whois::WhoisDb& db : bundle.whois) {
-    auto partial = pipeline.classify(db);
-    results.insert(results.end(), partial.begin(), partial.end());
-  }
+  std::vector<LeaseInference> results = pipeline.classify(bundle.whois);
 
   std::string report = render_summary(bundle, results);
   EXPECT_NE(report.find("Inference groups per region"), std::string::npos);

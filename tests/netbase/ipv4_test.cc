@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sublet {
 namespace {
 
@@ -30,6 +32,38 @@ TEST(Ipv4RoundTrip, ParseFormat) {
     auto a = Ipv4Addr::parse(s);
     ASSERT_TRUE(a) << s;
     EXPECT_EQ(a->to_string(), s);
+  }
+}
+
+TEST(Ipv4AppendTo, EdgeValuesAppendWithoutTouchingThePrefix) {
+  std::string out = "x";
+  Ipv4Addr(0).append_to(out);
+  EXPECT_EQ(out, "x0.0.0.0");
+  out.clear();
+  Ipv4Addr(0xFFFFFFFFu).append_to(out);
+  EXPECT_EQ(out, "255.255.255.255");
+  out.clear();
+  Ipv4Addr(0x0A00FF09u).append_to(out);  // one, two and three digit octets
+  out.push_back(' ');
+  Ipv4Addr(0x640A0001u).append_to(out);
+  EXPECT_EQ(out, "10.0.255.9 100.10.0.1");
+  EXPECT_EQ(Ipv4Addr(0xFFFFFFFFu).to_string(), "255.255.255.255");
+}
+
+TEST(PrefixAppendTo, EdgeValuesMatchToString) {
+  std::string out;
+  Prefix::make(Ipv4Addr(0), 0)->append_to(out);
+  out.push_back(',');
+  Prefix::make(Ipv4Addr(0xFFFFFFFFu), 32)->append_to(out);
+  out.push_back(',');
+  Prefix::make(Ipv4Addr(0x0A000000u), 8)->append_to(out);
+  EXPECT_EQ(out, "0.0.0.0/0,255.255.255.255/32,10.0.0.0/8");
+  for (int len = 0; len <= 32; ++len) {
+    Prefix p = *Prefix::make(Ipv4Addr(0xC0A80101u), len);
+    std::string appended = "pre:";
+    p.append_to(appended);
+    EXPECT_EQ(appended, "pre:" + p.to_string());
+    EXPECT_EQ(Prefix::parse(p.to_string()), p);
   }
 }
 

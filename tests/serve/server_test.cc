@@ -413,11 +413,7 @@ class ServeEndToEnd : public testing::Test {
     leasing::DatasetBundle bundle = leasing::load_dataset(*dir_);
     asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
     leasing::Pipeline pipeline(bundle.rib, graph);
-    std::vector<LeaseInference> results;
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto partial = pipeline.classify(db);
-      results.insert(results.end(), partial.begin(), partial.end());
-    }
+    std::vector<LeaseInference> results = pipeline.classify(bundle.whois);
     // The released artifact is the CSV; the snapshot is built from a fresh
     // parse of it, exactly like `sublet snapshot write`.
     std::ostringstream csv;

@@ -132,13 +132,8 @@ struct LoadedRun {
       const std::string& dir,
       leasing::DatasetScope scope = leasing::DatasetScope::kAll)
       : bundle(leasing::load_dataset(dir, {.scope = scope})),
-        graph(&bundle.as_rel, &bundle.as2org) {
-    leasing::Pipeline pipeline(bundle.rib, graph);
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto partial = pipeline.classify(db);
-      results.insert(results.end(), partial.begin(), partial.end());
-    }
-  }
+        graph(&bundle.as_rel, &bundle.as2org),
+        results(leasing::Pipeline(bundle.rib, graph).classify(bundle.whois)) {}
 };
 
 int cmd_generate(const std::vector<std::string>& args) {
@@ -196,6 +191,11 @@ int cmd_explain(const std::vector<std::string>& args) {
       args[0], {.scope = leasing::DatasetScope::kClassify});
   asgraph::AsGraph graph(&bundle.as_rel, &bundle.as2org);
   leasing::Pipeline pipeline(bundle.rib, graph);
+  std::vector<whois::AllocationTree> trees;
+  trees.reserve(bundle.whois.size());
+  for (const whois::WhoisDb& db : bundle.whois) {
+    trees.push_back(whois::AllocationTree::build(db));
+  }
   for (std::size_t i = 1; i < args.size(); ++i) {
     auto prefix = Prefix::parse(args[i]);
     if (!prefix) {
@@ -203,10 +203,9 @@ int cmd_explain(const std::vector<std::string>& args) {
       continue;
     }
     bool found = false;
-    for (const whois::WhoisDb& db : bundle.whois) {
-      auto tree = whois::AllocationTree::build(db);
-      if (!tree.root_of(*prefix)) continue;
-      std::cout << pipeline.explain(*prefix, db) << "\n";
+    for (std::size_t r = 0; r < bundle.whois.size(); ++r) {
+      if (!trees[r].root_of(*prefix)) continue;
+      std::cout << pipeline.explain(*prefix, trees[r], bundle.whois[r]) << "\n";
       found = true;
       break;
     }
