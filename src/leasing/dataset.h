@@ -76,10 +76,11 @@ enum class DatasetScope {
 };
 
 struct LoadOptions {
-  /// Worker threads for the bundle load: the five WHOIS databases, the
-  /// per-collector RIB files, and the auxiliary datasets load as
-  /// concurrent tasks. 0 = process default (--threads), 1 = serial legacy
-  /// order. Results and diagnostics order are identical either way.
+  /// Worker threads for the bundle load: the per-collector RIB files (the
+  /// last one to finish builds the RIB), the WHOIS databases' paragraph
+  /// slices, and the auxiliary datasets run as tasks of one group.
+  /// 0 = process default (--threads), 1 = inline, in submission order.
+  /// Results and diagnostics order are identical either way.
   unsigned threads = 0;
   DatasetScope scope = DatasetScope::kAll;
 };

@@ -1,5 +1,8 @@
 #include "leasing/pipeline.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <sstream>
@@ -33,6 +36,24 @@ obs::Counter& classify_counter(InferenceGroup group) {
     return out;
   }();
   return *counters[static_cast<std::size_t>(group)];
+}
+
+/// Faults in, writable, the whole pages inside [begin, end) without
+/// writing to them. Where MADV_POPULATE_WRITE is missing (Linux < 5.14)
+/// this does nothing and the first write faults the pages in instead.
+void populate_pages(const void* begin, const void* end) {
+#ifdef MADV_POPULATE_WRITE
+  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t first =
+      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
+  const std::uintptr_t last = reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
+  if (first < last) {
+    madvise(reinterpret_cast<void*>(first), last - first, MADV_POPULATE_WRITE);
+  }
+#else
+  (void)begin;
+  (void)end;
+#endif
 }
 
 /// Register the family at program start so a process that never classifies
@@ -181,12 +202,26 @@ std::vector<LeaseInference> Pipeline::classify(
                       << tree.skipped_legacy() << " legacy skipped)";
     jobs.insert(jobs.end(), jobs_by_db[i].begin(), jobs_by_db[i].end());
   }
+  // First touch in parallel: value-initializing the 30 MB result vector of
+  // a scale-2 run on one thread spent 13-18 ms in page faults while three
+  // cores idled. Each chunk faults in its own part of the reserved storage,
+  // and the vector is then constructed on resident pages.
+  std::vector<LeaseInference> results;
+  results.reserve(jobs.size());
+  const std::size_t chunk = par::recommended_chunk(
+      jobs.size(), par::resolve_threads(options_.threads));
+  par::parallel_for(
+      jobs.size(), chunk,
+      [&](std::size_t begin, std::size_t end) {
+        populate_pages(results.data() + begin, results.data() + end);
+      },
+      options_.threads);
+  results.resize(jobs.size());
   // Each leaf only reads rib_/graph_/its db and tree, and writes only its
   // own slot, so results are byte-identical to a serial run at any thread
   // count.
-  std::vector<LeaseInference> results(jobs.size());
   par::parallel_for(
-      jobs.size(), 0,
+      jobs.size(), chunk,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const Job& job = jobs[i];

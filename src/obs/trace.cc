@@ -97,30 +97,36 @@ bool Tracer::write_chrome_trace(const std::string& path) const {
 }
 
 ScopedSpan::ScopedSpan(std::string_view name) {
-  begin(name, t_current_span);
+  begin(name, t_current_span, true);
 }
 
 ScopedSpan::ScopedSpan(std::string_view name, SpanId parent) {
-  begin(name, parent);
+  begin(name, parent, true);
 }
 
-void ScopedSpan::begin(std::string_view name, SpanId parent) {
+ScopedSpan::ScopedSpan(std::string_view name, SpanId parent, Detached) {
+  begin(name, parent, false);
+}
+
+void ScopedSpan::begin(std::string_view name, SpanId parent, bool current) {
   Tracer& tracer = Tracer::global();
   if (!tracer.enabled()) return;
   id_ = tracer.next_id();
   parent_ = parent;
   name_ = name;
-  saved_current_ = t_current_span;
-  restore_current_ = true;
-  t_current_span = id_;
-  cpu_start_ns_ = thread_cpu_ns();
+  if (current) {
+    saved_current_ = t_current_span;
+    restore_current_ = true;
+    t_current_span = id_;
+    cpu_start_ns_ = thread_cpu_ns();
+  }
   start_ = std::chrono::steady_clock::now();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (id_ == 0) return;
   auto end = std::chrono::steady_clock::now();
-  std::uint64_t cpu_end_ns = thread_cpu_ns();
+  std::uint64_t cpu_end_ns = restore_current_ ? thread_cpu_ns() : 0;
   if (restore_current_) t_current_span = saved_current_;
   Tracer& tracer = Tracer::global();
   SpanRecord record;

@@ -19,6 +19,10 @@
 //     ...
 //   });
 //
+// A stage that only submits tasks and is finished by whichever task ends
+// last opens a detached span: it never becomes a thread's current span, so
+// the finishing task may end it on its own thread.
+//
 // Completed spans accumulate in Tracer::global(); write_chrome_trace()
 // renders them as a Chrome trace-viewer file (chrome://tracing, Perfetto).
 // `sublet --trace-json out.json <command>` wires this up end to end.
@@ -104,6 +108,12 @@ class ScopedSpan {
   explicit ScopedSpan(std::string_view name);
   /// Nested under an explicit parent (cross-thread nesting).
   ScopedSpan(std::string_view name, SpanId parent);
+  /// Nested under `parent`, and never the calling thread's current span,
+  /// so it may be destroyed on any thread. Its children name id() as their
+  /// parent. cpu_ns stays 0: the work runs in those children, on their
+  /// own threads.
+  struct Detached {};
+  ScopedSpan(std::string_view name, SpanId parent, Detached);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -116,12 +126,12 @@ class ScopedSpan {
   void add_records(std::uint64_t n) { records_ += n; }
 
  private:
-  void begin(std::string_view name, SpanId parent);
+  void begin(std::string_view name, SpanId parent, bool current);
 
   SpanId id_ = 0;
   SpanId parent_ = 0;
   SpanId saved_current_ = 0;
-  bool restore_current_ = false;
+  bool restore_current_ = false;  ///< false for a detached span
   std::string name_;
   std::chrono::steady_clock::time_point start_{};
   std::uint64_t cpu_start_ns_ = 0;

@@ -101,7 +101,12 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
+  /// Tasks may run() further tasks on the same group (continuations);
+  /// wait() returns once those have finished too.
   void run(std::function<void()> task);
+
+  /// Effective thread count (1 = tasks run inline inside run()).
+  unsigned size() const { return pool_.size(); }
 
   /// Drain all tasks; rethrows the first captured exception.
   void wait();

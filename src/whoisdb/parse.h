@@ -12,20 +12,27 @@
 //    records are synthesized from the ownerid/owner pairs encountered.
 //
 // Parsing is parallel by default: inputs are split at paragraph (blank
-// line) boundaries — an RPSL object can never span one — the slices are
-// parsed on a thread pool, and the per-slice databases are merged back in
-// input order. The result (records, joins, diagnostics, and their order)
-// is identical to a serial parse; `threads = 1` runs the untouched
-// streaming path. See docs/THREADING.md.
+// line) boundaries — an RPSL object can never span one — each slice is
+// parsed as one task, and the last slice task to finish merges the
+// per-slice databases back in input order. The result (records, joins,
+// diagnostics, and their order) is identical to a serial parse; `threads =
+// 1` runs the untouched streaming path. See docs/THREADING.md.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/expected.h"
 #include "whoisdb/model.h"
+
+namespace sublet::par {
+class TaskGroup;
+}
 
 namespace sublet::whois {
 
@@ -39,7 +46,7 @@ WhoisDb parse_whois_db(std::istream& in, Rir rir, std::string source = {},
                        unsigned threads = 1);
 
 /// Parse a whole in-memory database. Same semantics as parse_whois_db;
-/// the natural entry point for the chunked parallel path.
+/// the slices run on a local task group (inline below two slices).
 WhoisDb parse_whois_text(std::string_view text, Rir rir,
                          std::string source = {},
                          std::vector<Error>* diagnostics = nullptr,
@@ -50,5 +57,20 @@ WhoisDb parse_whois_text(std::string_view text, Rir rir,
 WhoisDb load_whois_file(const std::string& path, Rir rir,
                         std::vector<Error>* diagnostics = nullptr,
                         unsigned threads = 0);
+
+/// Read a database file and parse it as paragraph-slice tasks on the
+/// caller's `group` (a few slices per worker, none under 16 KiB), so the
+/// slices share the group's workers with its other tasks. The slice task
+/// that finishes last merges the slices in input order into `out`, appends
+/// the diagnostics in serial order, unmaps the file, and then runs `merged`
+/// (if set). All of it is in place once group.wait() returns; `out` and
+/// `diagnostics` must live until then. A one-thread group parses inline
+/// with the streaming parser. Spans: one `whois.parse` under `parent`, from
+/// the split to the merge, with a `whois.parse.chunk` per slice under it.
+/// Throws (from the calling task) if the file is unreadable.
+void load_whois_file(par::TaskGroup& group, const std::string& path, Rir rir,
+                     std::optional<WhoisDb>& out,
+                     std::vector<Error>* diagnostics, obs::SpanId parent,
+                     std::function<void()> merged = {});
 
 }  // namespace sublet::whois

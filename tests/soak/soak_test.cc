@@ -121,6 +121,10 @@ TEST(SoakChaos, KillAppendMidRunRecoversAndPasses) {
   options.scenario = "killappend@600;append@1600";
   auto report = run_load(options);
   ASSERT_TRUE(report.has_value()) << report.error().to_string();
+  // A failure prints the whole report (chaos outcomes, per-verb latencies,
+  // SLO verdicts), so it tells a recovery fault from a slow run; the
+  // in-process server logs to stderr, which ctest keeps with the failure.
+  SCOPED_TRACE("run_load report: " + report->to_json());
   EXPECT_EQ(report->chaos.kills, 1u);
   EXPECT_EQ(report->chaos.appends, 2u);  // the retried + the scheduled one
   EXPECT_EQ(report->wrong_answers, 0u);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
+
+#include "util/parallel.h"
 
 namespace sublet::whois {
 namespace {
@@ -350,6 +358,25 @@ TEST(ChunkedParse, LacnicKeepsFirstOwnerNameAcrossChunks) {
     ASSERT_NE(org, nullptr) << "threads=" << threads;
     EXPECT_EQ(org->name, "Owner Name v0") << "threads=" << threads;
   }
+}
+
+TEST(ChunkedParse, EmptyTextAndFileParseToAnEmptyDatabase) {
+  std::string path = testing::TempDir() + "/sublet_empty_whois_" +
+                     std::to_string(::getpid()) + ".db";
+  { std::ofstream touch(path); }
+  for (unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(parse_whois_text("", Rir::kRipe, "<empty>", nullptr, threads)
+                  .block_count(),
+              0u);
+    std::optional<WhoisDb> db;
+    par::TaskGroup group(threads);
+    load_whois_file(group, path, Rir::kArin, db, nullptr, 0);
+    group.wait();
+    ASSERT_TRUE(db.has_value()) << "threads=" << threads;
+    EXPECT_EQ(db->rir(), Rir::kArin);
+    EXPECT_EQ(db->block_count(), 0u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ChunkedParse, DiagnosticLineNumbersMatchSerial) {

@@ -136,6 +136,19 @@ struct LoadedRun {
         results(leasing::Pipeline(bundle.rib, graph).classify(bundle.whois)) {}
 };
 
+/// The run of a one-shot command (infer, evaluate, abuse, report), never
+/// destroyed: the process exits right after the command. Freeing a scale-2
+/// run (the classify results, the WHOIS databases, the RIB, then
+/// malloc_trim) took 37-40 ms of a ~300 ms `infer`, after its last span.
+/// Held here, the run stays reachable, so leak checkers report nothing.
+LoadedRun* g_run = nullptr;
+
+LoadedRun& load_run(const std::string& dir,
+                    leasing::DatasetScope scope = leasing::DatasetScope::kAll) {
+  g_run = new LoadedRun(dir, scope);
+  return *g_run;
+}
+
 int cmd_generate(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   sim::WorldConfig config;
@@ -169,7 +182,7 @@ int cmd_infer(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  LoadedRun run(args[0], leasing::DatasetScope::kClassify);
+  LoadedRun& run = load_run(args[0], leasing::DatasetScope::kClassify);
   auto counts = leasing::Pipeline::count_groups(run.results);
   std::cout << "classified " << with_commas(counts.total())
             << " sub-allocations; " << with_commas(counts.leased())
@@ -219,7 +232,7 @@ int cmd_explain(const std::vector<std::string>& args) {
 
 int cmd_evaluate(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  LoadedRun run(args[0]);
+  LoadedRun& run = load_run(args[0]);
   leasing::ReferenceDataset reference;
   for (const whois::WhoisDb& db : run.bundle.whois) {
     auto brokers = run.bundle.brokers.find(db.rir());
@@ -256,7 +269,7 @@ int cmd_evaluate(const std::vector<std::string>& args) {
 
 int cmd_abuse(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  LoadedRun run(args[0]);
+  LoadedRun& run = load_run(args[0]);
   leasing::AbuseAnalysis analysis(run.results, run.bundle.rib);
   auto drop = analysis.prefix_overlap(run.bundle.drop);
   std::cout << "DROP-originated: leased " << percent(drop.leased_fraction())
@@ -315,7 +328,7 @@ int cmd_timeline(const std::vector<std::string>& args) {
 
 int cmd_report(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  LoadedRun run(args[0]);
+  LoadedRun& run = load_run(args[0]);
   std::cout << leasing::render_summary(run.bundle, run.results);
   return 0;
 }
